@@ -18,6 +18,11 @@ from .quadrature import segment_rule, triangle_rule
 
 _BLOCK = 16384
 
+# SuperLU shows its pivots only through CSC copies of both factors, which
+# double the memory of the factor; larger factors (the high-order
+# dual-norm reference solves) skip the pivot check
+PIVOT_CHECK_MAX_NNZ = 1 << 23
+
 
 class SolverError(RuntimeError):
     """Raised when a factorization fails or the residual contract is broken."""
@@ -132,6 +137,13 @@ def facet_quad_points(mesh, facet_ids, degree):
     return trep, np.tile(w, nf), frep, pts
 
 
+def monomial_coefficients(values, nodes):
+    """Monomial coefficients in t (lowest degree first) of the
+    polynomials that take the rows of `values` at `nodes`."""
+    vander = np.vander(nodes, len(nodes), increasing=True)
+    return values @ np.linalg.inv(vander).T
+
+
 class BoundarySpace:
     """Piecewise polynomial multiplier space on the boundary mesh.
 
@@ -182,6 +194,11 @@ class BoundarySpace:
         """Evaluate a multiplier function at per-point facet parameters."""
         basis = self.eval(t)
         return np.einsum("nj,nj->n", coeffs[self.facet_dofs[facet_ids]], basis)
+
+    def monomial_coefficients(self, coeffs):
+        """Per-facet monomial coefficients in t of a multiplier function,
+        shape (facets, order + 1)."""
+        return monomial_coefficients(coeffs[self.facet_dofs], self._nodes)
 
 
 class SparseSystem:
@@ -276,7 +293,9 @@ def solve(system, constraint=None):
 
     If `constraint` is a vector c, the solve enforces c.x = 0 through an
     appended row/column (Lagrange multiplier).  Raises SolverError when
-    the factorization fails or the residual exceeds
+    the factorization fails, when the factor is numerically singular
+    (min|U_ii| < 1e-12 max|U_ii|, checked on factors of at most
+    PIVOT_CHECK_MAX_NNZ nonzeros), or when the residual exceeds
     1e-10 * (|b| + |A|*|x|).
 
     The system is renumbered by reverse Cuthill-McKee and then factored
@@ -313,6 +332,16 @@ def solve(system, constraint=None):
         raise SolverError(
             f"residual contract violated: |Ax-b|={res:.3e} > {bound:.3e} "
             f"(n={n}, nnz={A.nnz})")
+    # a singular factor passes the residual bound, which grows with the
+    # blown-up x; the bordered copy is released first, since reading U
+    # copies both factors
+    del A_aug
+    if lu.nnz <= PIVOT_CHECK_MAX_NNZ:
+        pivots = np.abs(lu.U.diagonal())
+        if pivots.min() < 1e-12 * pivots.max():
+            raise SolverError(
+                f"numerically singular factor: min|U_ii|/max|U_ii| = "
+                f"{pivots.min() / pivots.max():.3e} (n={n}, nnz={A.nnz})")
     return x[:n] if constraint is not None else x
 
 

@@ -1,10 +1,11 @@
 """The three boundary-condition treatments for the Dirichlet problem.
 
-Each solver returns a DiscreteSolution whose multiplier (the discrete
+Each solver returns a DiscreteSolution whose discrete flux (the
 approximation of the outward normal flux a*du/dn on the boundary) is
 either an explicit coefficient vector in a BoundarySpace (Lagrange
 multiplier and Barbosa-Hughes) or the Nitsche post-processing rule
-a*dn(u_h) + gamma/h_F * (g - u_h).
+a*dn(u_h) + gamma/h_F * (g - u_h).  Both are held in one per-facet
+polynomial form, BoundaryFlux.
 
 Dirichlet data enters weakly everywhere: nothing is interpolated
 nodally.  The `sign` argument selects the symmetric (-1) or the
@@ -12,6 +13,7 @@ antisymmetric (+1, default) variant of the stabilized methods.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +46,10 @@ class ProblemSpec:
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
     g: Optional[Callable] = None
+    # boundary data at dyadic quadrature points, filled and read by
+    # norms.sample_to_dyadic; it lives as long as this instance
+    dyadic_cache: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         if self.g is None:
@@ -144,6 +150,45 @@ def _points_inside(domain, pts):
     raise ValueError(domain)
 
 
+def _horner(coef, t):
+    """Rows of monomial coefficients (lowest first) evaluated at t."""
+    out = coef[:, -1]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        out = out * t + coef[:, j]
+    return out
+
+
+@dataclass
+class BoundaryFlux:
+    """Discrete flux lambda_h(f, t) = a(x) D_f(t) + c_f g(x) + Q_f(t).
+
+    On boundary facet f at parameter t, with x the boundary point; D and
+    Q hold one row of monomial coefficients in t per facet (lowest
+    degree first) and c one constant per facet.  Nitsche: D = dn(u_h),
+    c = gamma/h_F, Q = -c u_h.  Multiplier methods: D and c are None
+    and Q is the multiplier.
+    """
+
+    q: np.ndarray
+    d: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
+
+    def at(self, facet_ids):
+        """The rows of the given facets, one per entry of facet_ids."""
+        if self.d is None:
+            return BoundaryFlux(np.take(self.q, facet_ids, axis=0))
+        return BoundaryFlux(np.take(self.q, facet_ids, axis=0),
+                            np.take(self.d, facet_ids, axis=0),
+                            self.c[facet_ids])
+
+    def combine(self, t, a=None, g=None):
+        """lambda_h at parameter t of each row's facet, given the values
+        of a and g there (ignored by multiplier fluxes)."""
+        if self.d is None:
+            return _horner(self.q, t)
+        return a * _horner(self.d, t) + self.c * g + _horner(self.q, t)
+
+
 @dataclass
 class DiscreteSolution:
     """Bulk solution plus a well-defined boundary flux representation."""
@@ -191,31 +236,40 @@ class DiscreteSolution:
         av = self.problem.a(pts[:, 0], pts[:, 1])
         return av * (gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1])
 
+    @cached_property
+    def flux(self):
+        """The discrete flux as a BoundaryFlux, built on first use."""
+        if self.method in (LAGRANGE, BARBOSA_HUGHES):
+            return BoundaryFlux(self.multiplier_space.monomial_coefficients(
+                self.multiplier))
+        mesh = self.mesh
+        k = self.space.order
+        nbf = mesh.num_boundary_facets
+        nodes = np.linspace(0.0, 1.0, k + 1)
+        frep = np.repeat(np.arange(nbf), k + 1)
+        trep = np.tile(nodes, nbf)
+        vals, grads, dofs = fem.facet_point_basis(self.space, frep, trep,
+                                                  gradients=True)
+        local = self.coeffs[dofs]
+        u = np.einsum("nj,nj->n", local, vals).reshape(nbf, k + 1)
+        gu = np.einsum("nj,nja->na", local, grads)
+        nrm = mesh.bf_normal[frep]
+        dn = (gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1]).reshape(nbf, k + 1)
+        c = self.gamma / mesh.bf_len
+        return BoundaryFlux(
+            -c[:, None] * fem.monomial_coefficients(u, nodes),
+            fem.monomial_coefficients(dn, nodes), c)
+
     def flux_values(self, facet_ids, t):
         """The discrete flux lambda_h at facet parameters."""
-        if self.method in (LAGRANGE, BARBOSA_HUGHES):
-            return self.multiplier_space.values(
-                self.multiplier, facet_ids, t)
-        return postprocess_nitsche_flux(self)(facet_ids, t)
-
-
-def postprocess_nitsche_flux(solution):
-    """Flux recovery a*dn(u_h) + gamma/h_F * (g - u_h) for Nitsche runs."""
-    if solution.method != NITSCHE:
-        raise ValueError("flux post-processing applies to Nitsche solutions")
-    mesh = solution.mesh
-    gamma = solution.gamma
-    problem = solution.problem
-
-    def fn(facet_ids, t):
         facet_ids = np.asarray(facet_ids, dtype=np.int64)
         t = np.asarray(t, dtype=float)
-        flux = solution.trace_normal_flux(facet_ids, t)
-        pts = mesh.boundary_points(facet_ids, t)
-        gv = problem.g(pts[:, 0], pts[:, 1])
-        uv = solution.trace_values(facet_ids, t)
-        return flux + gamma / mesh.bf_len[facet_ids] * (gv - uv)
-    return fn
+        rows = self.flux.at(facet_ids)
+        if rows.d is None:
+            return rows.combine(t)
+        pts = self.mesh.boundary_points(facet_ids, t)
+        x, y = pts[:, 0], pts[:, 1]
+        return rows.combine(t, self.problem.a(x, y), self.problem.g(x, y))
 
 
 def _facet_terms(space, problem, degree):

@@ -6,6 +6,16 @@ the energy of the lifting.  E2 expands cell averages of the residual on
 a dyadic boundary grid in a periodic (2,2)-biorthogonal wavelet basis
 and takes the weighted coefficient norm; the two are equivalent norms
 on the dual trace space.
+
+E2 of a flux error samples 2^M dyadic cells with the 3-point Gauss rule
+(exact to degree 5).  On the cells that lie inside one boundary facet
+it combines the solution's per-facet polynomial flux with the exact
+flux, a and g at the Gauss points.  Those are computed at the first E2
+of a problem instance and kept on it under (domain polygon, M), so the
+later steps of a study reuse them.  The cells that a facet end cuts are
+integrated piece by piece with the same rule, as every cell of any
+other BoundaryFunction is.  M and the quadrature are those of the
+piecewise evaluation.
 """
 
 import math
@@ -65,7 +75,19 @@ class BoundaryFunction:
         return float((vals * lenw).sum()), float((np.abs(vals) * lenw).sum())
 
 
-def flux_error_function(solution, degree_unused=None):
+@dataclass
+class FluxError(BoundaryFunction):
+    """delta = (exact flux) - (discrete flux) of a discrete solution.
+
+    `evaluate` works like any BoundaryFunction's; `sample_to_dyadic`
+    also uses the solution's BoundaryFlux and the problem's cached
+    boundary data on the dyadic cells that no facet end cuts.
+    """
+
+    solution: object = None
+
+
+def flux_error_function(solution):
     """delta = (exact flux) - (discrete flux) as a BoundaryFunction."""
     problem = solution.problem
     mesh = solution.mesh
@@ -77,7 +99,7 @@ def flux_error_function(solution, degree_unused=None):
         nrm = mesh.bf_normal[facet_ids]
         lam = problem.exact_flux(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
         return lam - solution.flux_values(facet_ids, t)
-    return BoundaryFunction(mesh, ev)
+    return FluxError(mesh, ev, solution=solution)
 
 
 def _split_pieces(starts, total, breakpoints):
@@ -95,26 +117,29 @@ def _split_pieces(starts, total, breakpoints):
     return left, right, owner
 
 
-def sample_to_dyadic(v, M):
-    """Scaled cell averages of v on the uniform dyadic boundary grid.
+def _cut_pieces(starts, total, breakpoints):
+    """The cells of `starts` that a breakpoint cuts, and their pieces.
 
-    Entry k is 2^(M/2)/|boundary| times the integral of v over the k-th
-    dyadic cell, counterclockwise from the anchor.  Integration cells
-    are split at the facet endpoints so piecewise-polynomial traces are
-    integrated exactly.
+    Returns (cells, left, right, owner) with the pieces that
+    _split_pieces gives for those cells.
     """
-    if M < 3:
-        raise ValueError("dyadic level must be at least 3")
-    if M > MAX_LEVEL:
-        raise ValueError(f"dyadic level {M} exceeds {MAX_LEVEL}")
-    mesh = v.mesh
-    total = mesh.perimeter
-    n = 1 << M
-    starts = total * np.arange(n) / n
-    left, right, owner = _split_pieces(starts, total, v.breakpoints)
-    gp, gw = segment_rule(5)
+    b = np.mod(breakpoints, total)
+    cell = np.searchsorted(starts, b, side="right") - 1
+    inner = b > starts[cell]
+    cells = np.unique(cell[inner])
+    ends = np.append(starts, total)[cells + 1]
+    edges = np.unique(np.concatenate([starts[cells], ends, b[inner]]))
+    left, right = edges[:-1], edges[1:]
+    owner = np.searchsorted(starts, 0.5 * (left + right), side="right") - 1
+    is_cut = np.zeros(len(starts), dtype=bool)
+    is_cut[cells] = True
+    keep = is_cut[owner] & ((right - left) > 1e-14 * total)
+    return cells, left[keep], right[keep], owner[keep]
 
-    out = np.zeros(n)
+
+def _integrate_pieces(v, left, right, owner, out, gp, gw):
+    """Add the integral of v over each piece to out[owner]."""
+    mesh = v.mesh
     chunk = 1 << 18
     for lo in range(0, len(left), chunk):
         sl = slice(lo, min(lo + chunk, len(left)))
@@ -127,6 +152,101 @@ def sample_to_dyadic(v, M):
             t = (s - mesh.bf_s0[facet]) / mesh.bf_len[facet]
             acc += gw[q] * v.evaluate(facet, np.clip(t, 0.0, 1.0))
         np.add.at(out, on, acc * length)
+
+
+def _dyadic_boundary_data(problem, polygon, M, gp, with_data):
+    """Exact flux (and a, g when with_data) at the Gauss points gp of
+    every dyadic cell of level M on the polygon's boundary: a dict of
+    lists with one array of length 2^M per Gauss point.
+
+    Kept in problem.dyadic_cache under (polygon, M) and computed once.
+    A cell that a corner cuts gets values from the side of each point;
+    sample_to_dyadic never reads them, since corners are facet ends.
+    """
+    key = (polygon.tobytes(), M)
+    data = problem.dyadic_cache.setdefault(key, {})
+    if "lam" in data and ("a" in data or not with_data):
+        return data
+    side_vec = np.roll(polygon, -1, axis=0) - polygon
+    side_len = np.hypot(*side_vec.T)
+    cum = np.concatenate([[0.0], np.cumsum(side_len)])
+    n = 1 << M
+    total = cum[-1]
+    starts = total * np.arange(n) / n
+    fields = {}
+    for q in range(len(gp)):
+        s = starts + (total / n) * gp[q]
+        side = np.minimum(np.searchsorted(cum, s, side="right") - 1,
+                          len(polygon) - 1)
+        t = (s - cum[side]) / side_len[side]
+        x = polygon[side, 0] + t * side_vec[side, 0]
+        y = polygon[side, 1] + t * side_vec[side, 1]
+        if "lam" not in data:
+            nx = side_vec[side, 1] / side_len[side]
+            ny = -side_vec[side, 0] / side_len[side]
+            fields.setdefault("lam", []).append(
+                problem.exact_flux(x, y, nx, ny))
+        if with_data:
+            fields.setdefault("a", []).append(
+                np.broadcast_to(problem.a(x, y), x.shape))
+            fields.setdefault("g", []).append(
+                np.broadcast_to(problem.g(x, y), x.shape))
+    data.update(fields)
+    return data
+
+
+def _flux_error_cells(solution, starts, M, gp, gw):
+    """Integral of the flux error over every dyadic cell of level M
+    (cell starts `starts`), valid where the cell lies inside one facet."""
+    mesh = solution.mesh
+    flux = solution.flux
+    data = _dyadic_boundary_data(solution.problem, mesh.polygon, M, gp,
+                                 with_data=flux.d is not None)
+    n = len(starts)
+    width = mesh.perimeter / n
+    # the facet of each cell's midpoint; cells and facets are both sorted
+    first = np.searchsorted(starts + 0.5 * width, mesh.bf_s0)
+    facet = np.repeat(np.arange(len(first)), np.diff(np.append(first, n)))
+    rows = flux.at(facet)
+    s0, length = mesh.bf_s0[facet], mesh.bf_len[facet]
+    acc = np.zeros(n)
+    for q in range(len(gp)):
+        t = (starts + gp[q] * width - s0) / length
+        if rows.d is None:
+            lam_h = rows.combine(t)
+        else:
+            lam_h = rows.combine(t, data["a"][q], data["g"][q])
+        acc += gw[q] * (data["lam"][q] - lam_h)
+    return acc * width
+
+
+def sample_to_dyadic(v, M):
+    """Scaled cell averages of v on the uniform dyadic boundary grid.
+
+    Entry k is 2^(M/2)/|boundary| times the integral of v over the k-th
+    dyadic cell, counterclockwise from the anchor.  Integration cells
+    are split at the facet endpoints so piecewise-polynomial traces are
+    integrated exactly.  For a FluxError, the cells that lie inside one
+    facet are integrated from its solution's BoundaryFlux and cached
+    boundary data at the same Gauss points; only the cut cells go
+    through `evaluate`.
+    """
+    if M < 3:
+        raise ValueError("dyadic level must be at least 3")
+    if M > MAX_LEVEL:
+        raise ValueError(f"dyadic level {M} exceeds {MAX_LEVEL}")
+    total = v.mesh.perimeter
+    n = 1 << M
+    starts = total * np.arange(n) / n
+    gp, gw = segment_rule(5)
+    if isinstance(v, FluxError):
+        out = _flux_error_cells(v.solution, starts, M, gp, gw)
+        cells, left, right, owner = _cut_pieces(starts, total, v.breakpoints)
+        out[cells] = 0.0
+    else:
+        out = np.zeros(n)
+        left, right, owner = _split_pieces(starts, total, v.breakpoints)
+    _integrate_pieces(v, left, right, owner, out, gp, gw)
     return (2.0 ** (M / 2.0) / total) * out
 
 
@@ -143,12 +263,12 @@ def dwt_step(v):
     n = len(v)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError("input length must be a power of two >= 2")
-    half = n // 2
-    idx2 = 2 * np.arange(half)
-    vj = np.zeros(half)
+    # cyclic padding: padded[l + 2i] == v[(2i + l) % n]
+    padded = np.resize(v, n + len(LOW_PASS))
+    vj = np.zeros(n // 2)
     for l, hl in enumerate(LOW_PASS):
-        vj += hl * v[(idx2 + l) % n]
-    dj = (math.sqrt(2.0) / 2.0) * (v[idx2] - v[idx2 + 1])
+        vj += hl * padded[l:l + n:2]
+    dj = (math.sqrt(2.0) / 2.0) * (v[0::2] - v[1::2])
     return vj, dj
 
 

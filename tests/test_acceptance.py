@@ -18,6 +18,9 @@ from fluxweight.mesh import build_unit_square, check_mesh, refine
 
 from conftest import make_linear_problem
 
+# the studies take minutes: `pytest -m "not slow"` leaves them out
+pytestmark = pytest.mark.slow
+
 
 def report(criterion, ok, detail):
     print(f"\n[acceptance {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")

@@ -52,11 +52,41 @@ def test_nitsche_linear_exact(k, sign, linear_problem, square4):
 
 def test_nitsche_flux_postprocessing_linear(linear_problem, square4):
     sol = methods.solve_nitsche(linear_problem, square4, k=1, gamma=10.0)
-    lam_h = methods.postprocess_nitsche_flux(sol)
     f = np.arange(square4.num_boundary_facets)
     t = np.full(len(f), 0.37)
     lam = exact_flux_on_facets(linear_problem, square4, t=0.37)
-    assert np.abs(lam_h(f, t) - lam).max() <= 1e-9
+    assert np.abs(sol.flux_values(f, t) - lam).max() <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_nitsche_flux_matches_postprocessing_rule(k, gentle_problem,
+                                                  square8):
+    # the per-facet polynomial form reproduces
+    # a*dn(u_h) + gamma/h_F * (g - u_h) evaluated from the bulk basis
+    sol = methods.solve_nitsche(gentle_problem, square8, k=k, gamma=10.0)
+    rng = np.random.default_rng(5)
+    f = rng.integers(0, square8.num_boundary_facets, 200)
+    t = rng.random(200)
+    pts = square8.boundary_points(f, t)
+    rule = (sol.trace_normal_flux(f, t) + 10.0 / square8.bf_len[f]
+            * (gentle_problem.g(pts[:, 0], pts[:, 1])
+               - sol.trace_values(f, t)))
+    assert np.abs(sol.flux_values(f, t) - rule).max() \
+        <= 1e-12 * np.abs(rule).max()
+
+
+@pytest.mark.parametrize("kprime,continuous", [(0, False), (1, False),
+                                               (2, True)])
+def test_multiplier_flux_matches_basis(kprime, continuous, gentle_problem,
+                                       square4):
+    sol = methods.solve_barbosa_hughes(gentle_problem, square4, k=2,
+                                       kprime=kprime, continuous=continuous)
+    rng = np.random.default_rng(6)
+    f = rng.integers(0, square4.num_boundary_facets, 100)
+    t = rng.random(100)
+    basis = sol.multiplier_space.values(sol.multiplier, f, t)
+    assert np.abs(sol.flux_values(f, t) - basis).max() \
+        <= 1e-12 * np.abs(basis).max()
 
 
 def test_nitsche_compatibility(square8):
@@ -200,3 +230,7 @@ def test_solver_failure_context(square4):
     # an unstable pair: rich continuous multiplier against P1 bulk
     with pytest.raises(fem.SolverError):
         methods.solve_lagrange(p, square4, k=1, kprime=2, continuous=False)
+    # P1 bulk against a P0 multiplier on an even number of boundary
+    # facets: an alternating-sign kernel makes the system singular
+    with pytest.raises(fem.SolverError, match="numerically singular"):
+        methods.solve_lagrange(p, square4, k=1, kprime=0)

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxweight import norms
-from fluxweight.mesh import build_unit_square, uniform_refine
+from fluxweight import methods, norms
+from fluxweight.mesh import (build_domain_mesh, build_graded_mesh,
+                             build_unit_square, uniform_refine)
 from fluxweight.norms import (BoundaryFunction, WaveletPyramid, dwt_step,
-                              sample_to_dyadic, wavelet_norm,
-                              wavelet_norm_of_vector)
+                              flux_error_function, sample_to_dyadic,
+                              wavelet_norm, wavelet_norm_of_vector)
+from fluxweight.problems import problem_data
+from fluxweight.quadrature import segment_rule
+
+from conftest import make_gentle_problem
 
 
 def test_filter_taps_bit_for_bit():
@@ -56,6 +61,23 @@ def test_dwt_matches_bruteforce_loops():
         assert vj[k] == pytest.approx(ref, abs=1e-14)
         assert dj[k] == pytest.approx(c * (v[2 * k] - v[2 * k + 1]),
                                       abs=1e-14)
+
+
+def test_dwt_matches_modulo_index_form():
+    # the strided slices of the cyclic padding give the same sums, in
+    # the same tap order, as indexing modulo n
+    rng = np.random.default_rng(3)
+    for j in range(1, 11):
+        n = 1 << j
+        v = rng.standard_normal(n)
+        idx2 = 2 * np.arange(n // 2)
+        ref = np.zeros(n // 2)
+        for l, hl in enumerate(norms.LOW_PASS):
+            ref += hl * v[(idx2 + l) % n]
+        vj, dj = dwt_step(v)
+        assert np.array_equal(vj, ref)
+        assert np.array_equal(
+            dj, (math.sqrt(2.0) / 2.0) * (v[idx2] - v[idx2 + 1]))
 
 
 def test_dwt_rejects_bad_length():
@@ -233,3 +255,87 @@ def test_norm_equivalence_family():
         ratios.append(e2 / e1)
     ratios = np.array(ratios)
     assert ratios.max() / ratios.min() <= 25.0
+
+
+def _flux_cases():
+    gentle = make_gentle_problem()
+    square = build_unit_square(4)
+    # facet ends at thirds never fall on dyadic cell boundaries, so
+    # facet ends cut cells of this mesh (counted in the next test)
+    graded = build_graded_mesh("unit-square", 0.125, initial_n=3)
+    lshape = problem_data("lshape-singular")
+    return {
+        "nitsche-k1": lambda: methods.solve_nitsche(gentle, square, k=1),
+        "nitsche-k2": lambda: methods.solve_nitsche(gentle, square, k=2),
+        "multiplier-k2-k0": lambda: methods.solve_lagrange(
+            gentle, square, k=2, kprime=0),
+        "multiplier-k2-k2-continuous": lambda: methods.solve_lagrange(
+            gentle, square, k=2, kprime=2, continuous=True),
+        "graded-nitsche-k1": lambda: methods.solve_nitsche(
+            gentle, graded, k=1),
+        "graded-nitsche-k2": lambda: methods.solve_nitsche(
+            gentle, graded, k=2),
+        "lshape-nitsche-k1": lambda: methods.solve_nitsche(
+            lshape, build_domain_mesh("l-shape", 4), k=1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_flux_cases()))
+def test_flux_error_sampling_matches_piecewise(case):
+    # the cached whole-cell sums agree with integrating every cell piece
+    # by piece through evaluate
+    M = 12
+    sol = _flux_cases()[case]()
+    delta = flux_error_function(sol)
+    fast = sample_to_dyadic(delta, M)
+    slow = sample_to_dyadic(BoundaryFunction(sol.mesh, delta.evaluate), M)
+    t, _ = segment_rule(5)
+    nbf = sol.mesh.num_boundary_facets
+    lam = sol.flux_values(np.repeat(np.arange(nbf), len(t)),
+                          np.tile(t, nbf))
+    # an entry is 2^(-M/2) times a cell average of the flux error
+    scale = np.abs(lam).max() * 2.0 ** (-M / 2.0)
+    assert np.abs(fast - slow).max() <= 1e-12 * scale
+    if case != "graded-nitsche-k2":
+        # there E2 is 6.7e-6 while gamma/h_F reaches 960, and round-off
+        # in the boundary points moves E2 by 3e-10 relative
+        e_slow = wavelet_norm_of_vector(slow)
+        assert abs(wavelet_norm_of_vector(fast) - e_slow) <= 1e-10 * e_slow
+
+
+def test_second_e2_evaluates_exact_flux_on_cut_cells_only():
+    M = 12
+    problem = make_gentle_problem()
+    first = methods.solve_nitsche(
+        problem, build_graded_mesh("unit-square", 0.25, initial_n=3), k=1)
+    sample_to_dyadic(flux_error_function(first), M)
+    assert set(problem.dyadic_cache[(first.mesh.polygon.tobytes(), M)]) \
+        == {"lam", "a", "g"}
+
+    mesh = build_graded_mesh("unit-square", 0.125, initial_n=3)
+    sol = methods.solve_nitsche(problem, mesh, k=1)
+    points = []
+    exact = problem.exact_flux
+
+    def counting(x, y, nx, ny):
+        points.append(len(x))
+        return exact(x, y, nx, ny)
+
+    problem.exact_flux = counting
+    sample_to_dyadic(flux_error_function(sol), M)
+    # a facet end strictly inside a cell cuts it and adds one piece;
+    # each piece takes the 3 Gauss points of the 5th-degree rule
+    width = mesh.perimeter / (1 << M)
+    cell = np.floor(mesh.bf_s0 / width)
+    inner = mesh.bf_s0 > cell * width
+    pieces = len(np.unique(cell[inner])) + inner.sum()
+    assert pieces > 0
+    assert sum(points) == 3 * pieces
+
+
+def test_multiplier_flux_caches_only_the_exact_flux(square4):
+    problem = make_gentle_problem()
+    sol = methods.solve_lagrange(problem, square4, k=2, kprime=0)
+    sample_to_dyadic(flux_error_function(sol), 8)
+    assert set(problem.dyadic_cache[(square4.polygon.tobytes(), 8)]) \
+        == {"lam"}
