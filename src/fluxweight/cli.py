@@ -51,19 +51,16 @@ def main(argv=None):
         return 0
 
     if args.command == "demo-weights":
-        from .driver import refinement_depth_stats, weight_demo
+        from .driver import weight_demo
+        from .experiments import write_weight_summary
         from .mesh import dump_mesh
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         meshes = weight_demo(k=args.k, c2=args.c2, steps=args.steps,
                              theta=args.theta)
-        with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-            fh.write("step,elements,depth_near_boundary,depth_center\n")
-            for i, msh in enumerate(meshes):
-                nb, ct = refinement_depth_stats(msh)
-                fh.write(f"{i},{msh.num_triangles},{nb},{ct}\n")
-                dump_mesh(msh, out / f"mesh_step{i}.txt")
-        nb, ct = refinement_depth_stats(meshes[-1])
+        nb, ct = write_weight_summary(meshes, out / "summary.csv")
+        for i, msh in enumerate(meshes):
+            dump_mesh(msh, out / f"mesh_step{i}.txt")
         print(f"steps={args.steps} elements={meshes[-1].num_triangles} "
               f"depth near boundary={nb} depth at center={ct}")
         return 0

@@ -1,21 +1,23 @@
 """The adaptive loop (solve -> estimate -> mark -> refine), uniform
-refinement studies, and boundary-concentrated mesh studies.
+refinement studies, and boundary-concentrated mesh studies, each a loop
+over one `step`.
 
-Every study produces a ConvergenceRecord; the error columns are E2 (the
-wavelet dual-norm surrogate, evaluated at every step), E1 (the
-auxiliary-problem value, evaluated where affordable), E = 4*E2 for the
-Nitsche/stabilized runs (the calibrated substitute for the true error),
-and the bulk energy error when the exact solution is known.
+Every study returns a ConvergenceRecord and the state of its last step;
+the error columns are E2 (the wavelet dual-norm surrogate, evaluated at
+every step), E1 (the auxiliary-problem value, evaluated where
+affordable), E = 4*E2 for the Nitsche/stabilized runs (the calibrated
+substitute for the true error), and the bulk energy error when the exact
+solution is known.
 """
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import estimator as est
-from . import methods, norms
+from . import fem, methods, norms
 from .mesh import (build_domain_mesh, build_graded_mesh, build_unit_square,
                    compute_distance_field, refine, uniform_refine)
 from .problems import problem_data
@@ -160,116 +162,100 @@ def _true_error_scale(config):
                                     methods.BARBOSA_HUGHES) else 1.0
 
 
-def _step_record(config, problem, solution, indicators, e1=np.nan):
-    mesh = solution.mesh
+def _e1_of(delta, config, fine_mesh):
+    return norms.neumann_dual_error(delta, fine_mesh, order=config.k + 2)
+
+
+def step(config, problem, mesh, e1=False):
+    """One step of any study on `mesh`: solve, the patch distances rho_T,
+    both estimators, E2, the energy error when the exact solution is
+    known and, with `e1`, E1 on the mesh bisected twice.
+
+    Returns the record row (the keywords of ConvergenceRecord.append,
+    `seconds` included) and the state (mesh, solution, indicators, rho).
+    """
+    t0 = time.perf_counter()
+    solution = _solve(config, problem, mesh)
+    rho = compute_distance_field(mesh)
+    ind = est.build_indicators(solution, rho, config.weight_config(),
+                               include_patch_terms=config.include_patch_terms)
     delta = norms.flux_error_function(solution)
     e2 = norms.wavelet_norm(delta, config.wavelet_level)
     energy = np.nan
     if problem.has_exact:
-        from .fem import h1_seminorm_error
-        energy = h1_seminorm_error(solution.space, solution.coeffs,
-                                   problem.grad_u)
-    return dict(N=solution.total_dofs, N_boundary=solution.boundary_dofs,
-                eta=indicators.eta, eta_classical=indicators.eta_classical,
-                E1=e1, E2=e2, E=_true_error_scale(config) * e2,
-                energy_err=energy, h=float(mesh.h_T.max()))
+        energy = fem.h1_seminorm_error(solution.space, solution.coeffs,
+                                       problem.grad_u)
+    row = dict(N=solution.total_dofs, N_boundary=solution.boundary_dofs,
+               eta=ind.eta, eta_classical=ind.eta_classical, E1=np.nan,
+               E2=e2, E=_true_error_scale(config) * e2,
+               energy_err=energy, h=float(mesh.h_T.max()))
+    if e1:
+        row["E1"] = _e1_of(delta, config, uniform_refine(mesh, 2))
+    row["seconds"] = time.perf_counter() - t0
+    return row, (mesh, solution, ind, rho)
 
 
-def _e1_of(solution, config, fine_mesh=None):
-    delta = norms.flux_error_function(solution)
-    if fine_mesh is None:
-        fine_mesh = uniform_refine(solution.mesh, 2)
-    return norms.neumann_dual_error(delta, fine_mesh, order=config.k + 2)
-
-
-def amr_loop(config, return_state=False):
+def amr_loop(config):
     """Adaptive loop from the coarse initial mesh up to the DOF budget.
 
     Stops before the refinement that would exceed the budget; E1 is
     evaluated at the final step only (unit-square problems, on the
-    uniform reference mesh), E2 at every step.
+    uniform reference mesh), E2 at every step.  Returns the record and
+    the state of the final step (see `step`).
     """
     problem = problem_data(config.problem)
     mesh = build_domain_mesh(problem.domain, config.initial_n)
     if count_dofs(mesh, config) >= config.budget:
         raise ValueError("DOF budget does not exceed the initial mesh")
     record = ConvergenceRecord(label=f"amr-{config.estimator}")
-    wcfg = config.weight_config()
     while True:
-        t0 = time.perf_counter()
-        solution = _solve(config, problem, mesh)
-        dist = compute_distance_field(mesh)
-        ind = est.build_indicators(
-            solution, dist, wcfg,
-            include_patch_terms=config.include_patch_terms)
-        row = _step_record(config, problem, solution, ind)
-        row["seconds"] = time.perf_counter() - t0
+        row, state = step(config, problem, mesh)
         record.append(**row)
-
+        ind = state[2]
         eta_T = ind.eta_T if config.estimator == "eta" else ind.eta_T_classical
-        marked = mark(eta_T, config.theta)
-        nxt = refine(mesh, marked)
+        nxt = refine(mesh, mark(eta_T, config.theta))
         if count_dofs(nxt, config) > config.budget:
             break
         mesh = nxt
     if problem.domain == "unit-square":
-        fine = build_unit_square(64)
-        record.E1[-1] = _e1_of(solution, config, fine_mesh=fine)
-    if return_state:
-        return record, (mesh, solution, ind, dist)
-    return record
+        delta = norms.flux_error_function(state[1])
+        record.E1[-1] = _e1_of(delta, config, build_unit_square(64))
+    return record, state
 
 
-def uniform_study(config, levels, e1_levels=None, return_state=False):
+def uniform_study(config, levels, e1_levels=None):
     """Solves on uniformly refined meshes h, h/2, ... with E1 and E2.
 
     e1_levels bounds the number of levels that run the auxiliary-problem
     evaluation (its reference solve grows 16x per level); None runs it
-    everywhere, 0 disables it.
+    everywhere, 0 disables it.  Returns the record and the state of the
+    finest level (see `step`).
     """
     problem = problem_data(config.problem)
     mesh = build_domain_mesh(problem.domain, config.initial_n)
     record = ConvergenceRecord(label="uniform")
-    wcfg = config.weight_config()
     if e1_levels is None:
         e1_levels = levels
     for lvl in range(levels):
-        t0 = time.perf_counter()
-        solution = _solve(config, problem, mesh)
-        dist = compute_distance_field(mesh)
-        ind = est.build_indicators(
-            solution, dist, wcfg,
-            include_patch_terms=config.include_patch_terms)
-        e1 = _e1_of(solution, config) if lvl < e1_levels else np.nan
-        row = _step_record(config, problem, solution, ind, e1=e1)
-        row["seconds"] = time.perf_counter() - t0
-        record.append(**row)
-        if lvl + 1 < levels:
+        if lvl:
             mesh = uniform_refine(mesh, 2)
-    if return_state:
-        return record, (mesh, solution, ind, dist)
-    return record
+        row, state = step(config, problem, mesh, e1=lvl < e1_levels)
+        record.append(**row)
+    return record, state
 
 
-def graded_study(config, h_list, return_state=False):
+def graded_study(config, h_list):
     """A-priori boundary-concentrated meshes for the given grading
-    parameters: size h^2 on the boundary, h*sqrt(dist) in the bulk."""
+    parameters: size h^2 on the boundary, h*sqrt(dist) in the bulk.
+    Returns the record and the state of the last mesh (see `step`)."""
     problem = problem_data(config.problem)
     record = ConvergenceRecord(label="graded")
     for h in h_list:
-        t0 = time.perf_counter()
         mesh = build_graded_mesh(problem.domain, h,
                                  initial_n=config.initial_n)
-        solution = _solve(config, problem, mesh)
-        dist = compute_distance_field(mesh)
-        ind = est.build_indicators(solution, dist, config.weight_config(),
-                                   include_patch_terms=config.include_patch_terms)
-        row = _step_record(config, problem, solution, ind)
-        row["seconds"] = time.perf_counter() - t0
+        row, state = step(config, problem, mesh)
         record.append(**row)
-    if return_state:
-        return record, (mesh, solution, ind, dist)
-    return record
+    return record, state
 
 
 def weight_demo(k=2, c2=1.0, steps=7, theta=0.5, initial_n=4,
@@ -283,8 +269,8 @@ def weight_demo(k=2, c2=1.0, steps=7, theta=0.5, initial_n=4,
     mesh = build_domain_mesh(domain, initial_n)
     out = [mesh]
     for _ in range(steps):
-        dist = compute_distance_field(mesh)
-        sigma = est.weight_element(mesh.h_T, dist.rho, wcfg)
+        sigma = est.weight_element(mesh.h_T, compute_distance_field(mesh),
+                                   wcfg)
         mesh = refine(mesh, mark(sigma, theta))
         out.append(mesh)
     return out

@@ -16,8 +16,6 @@ MAX_ORDER = 4
 # Local edge i is opposite local vertex i.
 EDGE_VERTICES = ((1, 2), (2, 0), (0, 1))
 
-_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
 
 class ReferenceElement:
     """Scalar Lagrange element on the reference triangle."""
@@ -72,17 +70,6 @@ class ReferenceElement:
         hxy = self._monomials(pts, dx=1, dy=1) @ self._coef
         hyy = self._monomials(pts, dy=2) @ self._coef
         return np.stack([hxx, hxy, hyy], axis=-1)
-
-    def edge_points(self, edge, t):
-        """Reference coordinates of parameters t in [0,1] along local `edge`.
-
-        The parameterization runs from the first to the second entry of
-        EDGE_VERTICES[edge].
-        """
-        a, b = EDGE_VERTICES[edge]
-        t = np.asarray(t, dtype=float)[:, None]
-        return _REF_VERTS[a] + t * (_REF_VERTS[b] - _REF_VERTS[a])
-
 
 def _lattice_nodes(p):
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]

@@ -72,18 +72,15 @@ class IndicatorField:
     eta_classical: float
 
 
-def compute_residuals(solution, distance=None, degree=None):
+def compute_residuals(solution, degree=None):
     """Evaluate all local residuals of `solution` on its mesh.
 
     The volume term expands div(a grad u_h) = a lap(u_h) + grad(a).grad(u_h)
     elementwise; boundary seminorms differentiate along the facet.
     """
-    space = solution.space
-    mesh = space.mesh
-    problem = solution.problem
-    k = space.order
+    mesh = solution.mesh
     if degree is None:
-        degree = 2 * k + 4
+        degree = 2 * solution.space.order + 4
 
     r1T = _volume_residual(solution, degree)
     r0F = _flux_jumps(solution, degree)
@@ -253,10 +250,6 @@ def _patch_terms(solution, degree):
     return patch_sq
 
 
-def element_weights(mesh, distance, config):
-    return weight_element(mesh.h_T, distance.rho, config)
-
-
 def assemble_eta(residuals, sigma_T, mesh, method, gamma=None, alpha=None,
                  include_patch_terms=True):
     """Distance-weighted estimator: per-element eta_T and global eta.
@@ -325,12 +318,13 @@ def assemble_eta_classical(residuals, mesh, method, gamma=None):
     return eta_T, float(np.sqrt(eta_sq.sum()))
 
 
-def build_indicators(solution, distance, config, include_patch_terms=True,
+def build_indicators(solution, rho, config, include_patch_terms=True,
                      degree=None):
-    """Residuals, weights and both estimators in one pass."""
+    """Residuals, weights and both estimators in one pass; rho holds the
+    patch distances rho_T of compute_distance_field."""
     mesh = solution.mesh
     res = compute_residuals(solution, degree=degree)
-    sigma_T = element_weights(mesh, distance, config)
+    sigma_T = weight_element(mesh.h_T, rho, config)
     eta_T, eta, sigma_F = assemble_eta(
         res, sigma_T, mesh, solution.method,
         gamma=solution.gamma, alpha=solution.alpha,
@@ -340,11 +334,11 @@ def build_indicators(solution, distance, config, include_patch_terms=True,
     return IndicatorField(res, sigma_T, sigma_F, eta_T, eta, eta_T_c, eta_c)
 
 
-def dump_indicators(field, mesh, distance, path):
+def dump_indicators(field, mesh, rho, path):
     """CSV dump: element_id, h_T, rho_T, sigma_T, r1T, etaT."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("element_id,h_T,rho_T,sigma_T,r1T,etaT\n")
         for i in range(mesh.num_triangles):
-            fh.write(f"{i},{mesh.h_T[i]:.17g},{distance.rho[i]:.17g},"
+            fh.write(f"{i},{mesh.h_T[i]:.17g},{rho[i]:.17g},"
                      f"{field.sigma_T[i]:.17g},{field.residuals.r1T[i]:.17g},"
                      f"{field.eta_T[i]:.17g}\n")

@@ -19,7 +19,7 @@ import numpy as np
 from . import driver, norms
 from .driver import AmrConfig, ConvergenceRecord
 from .estimator import dump_indicators
-from .mesh import compute_distance_field, dump_mesh
+from .mesh import dump_mesh
 from .svgplot import LogLogPlot
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,7 @@ class StudyResult:
     def __init__(self, name, records, state=None, extra=None):
         self.name = name
         self.records = records          # dict label -> ConvergenceRecord
-        self.state = state              # optional final (mesh, sol, ind, dist)
+        self.state = state              # final (mesh, sol, ind, rho)
         self.extra = extra or {}
 
     @property
@@ -71,6 +71,17 @@ def _write_uniform_table(record, path):
             fh.write(",".join(row) + "\n")
 
 
+def write_weight_summary(meshes, path):
+    """The summary.csv of a weight demo: element count and refinement
+    depths per step.  Returns the depths of the last mesh."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,elements,depth_near_boundary,depth_center\n")
+        for i, msh in enumerate(meshes):
+            nb, ct = driver.refinement_depth_stats(msh)
+            fh.write(f"{i},{msh.num_triangles},{nb},{ct}\n")
+    return nb, ct
+
+
 def run_study(study, manifest, out_dir, dumps):
     """Execute one study dict; returns a StudyResult."""
     name = study.get("name") or study["type"]
@@ -79,44 +90,32 @@ def run_study(study, manifest, out_dir, dumps):
     sdir = Path(out_dir) / name
     sdir.mkdir(parents=True, exist_ok=True)
     records = {}
-    state = None
-    extra = {}
 
     if kind == "uniform":
         rec, state = driver.uniform_study(
-            cfg, study.get("levels", 4),
-            e1_levels=study.get("e1_levels"), return_state=True)
+            cfg, study.get("levels", 4), e1_levels=study.get("e1_levels"))
         records["uniform"] = rec
         _write_uniform_table(rec, sdir / "table.csv")
     elif kind == "amr":
-        rec, state = driver.amr_loop(cfg, return_state=True)
-        records[f"amr-{cfg.estimator}"] = rec
+        records[f"amr-{cfg.estimator}"], state = driver.amr_loop(cfg)
     elif kind == "graded":
-        rec, state = driver.graded_study(cfg, study["h_list"],
-                                         return_state=True)
-        records["graded"] = rec
+        records["graded"], state = driver.graded_study(cfg, study["h_list"])
     elif kind == "amr_comparison":
-        rec_eta, state = driver.amr_loop(replace(cfg, estimator="eta"),
-                                         return_state=True)
-        rec_cls = driver.amr_loop(replace(cfg, estimator="eta_classical"))
-        records["amr-eta"] = rec_eta
-        records["amr-classical"] = rec_cls
+        records["amr-eta"], state = driver.amr_loop(
+            replace(cfg, estimator="eta"))
+        records["amr-classical"], _ = driver.amr_loop(
+            replace(cfg, estimator="eta_classical"))
         if study.get("h_list"):
-            records["graded"] = driver.graded_study(cfg, study["h_list"])
+            records["graded"], _ = driver.graded_study(cfg, study["h_list"])
     elif kind == "weight_demo":
         meshes = driver.weight_demo(k=cfg.k, c2=cfg.c2,
                                     steps=study.get("steps", 7),
                                     theta=cfg.theta,
                                     initial_n=cfg.initial_n)
-        with open(sdir / "summary.csv", "w", encoding="utf-8") as fh:
-            fh.write("step,elements,depth_near_boundary,depth_center\n")
-            for i, msh in enumerate(meshes):
-                nb, ct = driver.refinement_depth_stats(msh)
-                fh.write(f"{i},{msh.num_triangles},{nb},{ct}\n")
+        write_weight_summary(meshes, sdir / "summary.csv")
         if dumps.get("mesh"):
             dump_mesh(meshes[-1], sdir / "final_mesh.txt")
-        extra["meshes"] = meshes
-        return StudyResult(name, records, extra=extra)
+        return StudyResult(name, records, extra={"meshes": meshes})
     else:
         raise ValueError(f"unknown study type {kind!r}")
 
@@ -137,17 +136,16 @@ def run_study(study, manifest, out_dir, dumps):
     plot.add_regression(0)
     plot.write(sdir / "convergence.svg")
 
-    if state is not None:
-        mesh, solution, indicators, dist = state
-        if dumps.get("mesh"):
-            dump_mesh(mesh, sdir / "final_mesh.txt")
-        if dumps.get("indicators"):
-            dump_indicators(indicators, mesh, dist, sdir / "indicators.csv")
-        if dumps.get("pyramid"):
-            delta = norms.flux_error_function(solution)
-            vM = norms.sample_to_dyadic(delta, min(cfg.wavelet_level, 12))
-            norms.WaveletPyramid.analyze(vM).dump(sdir / "pyramid.csv")
-    return StudyResult(name, records, state=state, extra=extra)
+    mesh, solution, indicators, rho = state
+    if dumps.get("mesh"):
+        dump_mesh(mesh, sdir / "final_mesh.txt")
+    if dumps.get("indicators"):
+        dump_indicators(indicators, mesh, rho, sdir / "indicators.csv")
+    if dumps.get("pyramid"):
+        delta = norms.flux_error_function(solution)
+        vM = norms.sample_to_dyadic(delta, min(cfg.wavelet_level, 12))
+        norms.WaveletPyramid.analyze(vM).dump(sdir / "pyramid.csv")
+    return StudyResult(name, records, state=state)
 
 
 def _resolve_record(results, ref):

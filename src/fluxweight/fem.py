@@ -127,16 +127,6 @@ def facet_point_basis(space, facet_ids, t, gradients=False):
     return vals, grads, dofs
 
 
-def facet_quad_points(mesh, facet_ids, degree):
-    """Gauss points on facets: (t, w, facet rep, s values, physical pts)."""
-    t, w = segment_rule(degree)
-    nf = len(facet_ids)
-    frep = np.repeat(facet_ids, len(t))
-    trep = np.tile(t, nf)
-    pts = mesh.boundary_points(frep, trep)
-    return trep, np.tile(w, nf), frep, pts
-
-
 def monomial_coefficients(values, nodes):
     """Monomial coefficients in t (lowest degree first) of the
     polynomials that take the rows of `values` at `nodes`."""
@@ -345,34 +335,6 @@ def solve(system, constraint=None):
     return x[:n] if constraint is not None else x
 
 
-def patch_l2_projection_linear(mesh, g_facet, facet_ids, degree=6):
-    """L2 projection of boundary data onto continuous piecewise linears
-    on a chain of boundary facets.
-
-    g_facet(facet_ids, t) evaluates the data at facet parameters.
-    Returns the nodal coefficients (len(facet_ids) + 1 values at the
-    chain nodes, in arc order) from a dense local mass-matrix solve.
-    """
-    facet_ids = np.asarray(facet_ids, dtype=np.int64)
-    nfac = len(facet_ids)
-    if nfac == 0:
-        raise ValueError("empty facet chain")
-    nn = nfac + 1
-    t, w = segment_rule(degree)
-    M = np.zeros((nn, nn))
-    b = np.zeros(nn)
-    for j, f in enumerate(facet_ids):
-        L = mesh.bf_len[f]
-        gv = g_facet(np.full(len(t), f), t)
-        phi = np.stack([1.0 - t, t], axis=1)
-        Mloc = (phi[:, :, None] * phi[:, None, :] * (w * L)[:, None, None]).sum(0)
-        bloc = (phi * (gv * w * L)[:, None]).sum(0)
-        sl = slice(j, j + 2)
-        M[sl, sl] += Mloc
-        b[sl.start:sl.start + 2] += bloc
-    return np.linalg.solve(M, b)
-
-
 def assemble_grad_load(space, vec_field, degree=None):
     """Vector r_i = integral of vec_field . grad(phi_i).
 
@@ -410,9 +372,3 @@ def h1_seminorm_error(space, coeffs, grad_exact, degree=None):
         diff = ge - gh
         total += np.einsum("tqa,tqa,q,t->", diff, diff, qw, det)
     return float(np.sqrt(total))
-
-
-def dump_matrix(system, path):
-    """MatrixMarket coordinate dump for debugging."""
-    from scipy.io import mmwrite
-    mmwrite(path, system.matrix.tocoo())

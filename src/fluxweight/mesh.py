@@ -366,80 +366,18 @@ def uniform_refine(mesh, sweeps=1):
     return mesh
 
 
-class DistanceField:
-    """Per-triangle distance data for the dual weights.
-
-    rho[t] is the minimum distance to the boundary over all vertices of
-    the patch of triangles sharing a vertex with t.  Patches are stored
-    in compressed form (patch_indptr / patch_indices).  For each
-    boundary vertex, patch_facets holds the two incident boundary facet
-    ids in counterclockwise order.
-    """
-
-    def __init__(self, rho, patch_indptr, patch_indices,
-                 boundary_vertices, patch_facets, vertex_distance):
-        self.rho = rho
-        self.patch_indptr = patch_indptr
-        self.patch_indices = patch_indices
-        self.boundary_vertices = boundary_vertices
-        self.patch_facets = patch_facets
-        self.vertex_distance = vertex_distance
-
-    def patch(self, t):
-        return self.patch_indices[self.patch_indptr[t]:self.patch_indptr[t + 1]]
-
-
 def compute_distance_field(mesh):
-    """Distance of each triangle's vertex patch to the boundary."""
-    dv = distance_to_boundary(mesh.domain, mesh.vertices)
+    """rho_T per triangle: the minimum distance to the boundary over the
+    vertices of the patch of triangles sharing a vertex with T (exactly
+    0 when the patch touches the boundary)."""
     tri = mesh.triangles
-    nt, nv = mesh.num_triangles, mesh.num_vertices
-    tri_min = dv[tri].min(axis=1)
-    # patch minimum via the vertex->triangle incidence
-    vert_min = np.full(nv, np.inf)
+    tri_min = distance_to_boundary(mesh.domain, mesh.vertices)[tri].min(axis=1)
+    vert_min = np.full(mesh.num_vertices, np.inf)
     for c in range(3):
         np.minimum.at(vert_min, tri[:, c], tri_min)
     rho = vert_min[tri].min(axis=1)
     rho[rho < 1e-14] = 0.0
-
-    # explicit patches (triangles sharing a vertex), deduplicated
-    vt_idx = np.argsort(tri.ravel(), kind="stable")
-    vt_tris = vt_idx // 3
-    vt_ptr = np.searchsorted(tri.ravel()[vt_idx], np.arange(nv + 1))
-    counts = vt_ptr[tri + 1] - vt_ptr[tri]  # (nt, 3)
-    raw_ptr = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
-    raw = np.empty(raw_ptr[-1], dtype=np.int64)
-    owner = np.empty(raw_ptr[-1], dtype=np.int64)
-    pos = raw_ptr[:-1].copy()
-    for c in range(3):
-        cnt = counts[:, c]
-        idx = np.repeat(pos, cnt) + _ragged_arange(cnt)
-        src = np.repeat(vt_ptr[tri[:, c]], cnt) + _ragged_arange(cnt)
-        raw[idx] = vt_tris[src]
-        owner[idx] = np.repeat(np.arange(nt), cnt)
-        pos += cnt
-    order = np.lexsort((raw, owner))
-    raw, owner = raw[order], owner[order]
-    keep = np.r_[True, (raw[1:] != raw[:-1]) | (owner[1:] != owner[:-1])]
-    raw, owner = raw[keep], owner[keep]
-    patch_indptr = np.searchsorted(owner, np.arange(nt + 1))
-
-    bverts = np.unique(np.concatenate([mesh.bf_v0, mesh.bf_v1]))
-    nb = mesh.num_boundary_facets
-    facet_of_v0 = np.full(nv, -1, dtype=np.int64)
-    facet_of_v0[mesh.bf_v0] = np.arange(nb)
-    nxt = facet_of_v0[bverts]
-    prev = (nxt - 1) % nb
-    patch_facets = np.column_stack([prev, nxt])
-
-    return DistanceField(rho, patch_indptr, raw, bverts, patch_facets, dv)
-
-
-def _ragged_arange(counts):
-    total = counts.sum()
-    out = np.arange(total)
-    out -= np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-    return out
+    return rho
 
 
 def build_graded_mesh(domain, h, initial_n=4, element_cap=2_000_000):

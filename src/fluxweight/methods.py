@@ -68,13 +68,6 @@ class ProblemSpec:
         gu = self.grad_u(x, y)
         return self.a(x, y) * (gu[..., 0] * nx + gu[..., 1] * ny)
 
-    def g_facet(self, mesh):
-        """Boundary data as a function of (facet_ids, t)."""
-        def fn(facet_ids, t):
-            pts = mesh.boundary_points(facet_ids, t)
-            return self.g(pts[:, 0], pts[:, 1])
-        return fn
-
     def g_tangential(self, mesh):
         """Tangential derivative of g along facets; analytic when grad_u
         is available, otherwise central differences in arc length."""
@@ -272,9 +265,15 @@ class DiscreteSolution:
         return rows.combine(t, self.problem.a(x, y), self.problem.g(x, y))
 
 
-def _facet_terms(space, problem, degree):
-    """Shared per-quadrature-point boundary data for the assemblers."""
-    mesh = space.mesh
+def _prologue(problem, mesh, k, degree):
+    """What every solver starts from: the bulk space of order k, its
+    stiffness matrix and load vector, and the boundary data at the facet
+    quadrature points (frep, trep, vals, adn, dofs, gv, lenw, hF)."""
+    space = FeSpace(mesh, k)
+    if degree is None:
+        degree = 2 * k + 4
+    A = fem.assemble_stiffness(space, problem.a, degree)
+    F = fem.assemble_load(space, problem.f, degree)
     facets = np.arange(mesh.num_boundary_facets)
     t, w = segment_rule(degree)
     nq = len(t)
@@ -287,9 +286,9 @@ def _facet_terms(space, problem, degree):
     adn = (problem.a(pts[:, 0], pts[:, 1])[:, None]
            * np.einsum("nja,na->nj", grads, nrm))
     gv = problem.g(pts[:, 0], pts[:, 1])
-    lenw = np.tile(w, len(facets)) * mesh.bf_len[frep]
     hF = mesh.bf_len[frep]
-    return frep, trep, vals, adn, dofs, gv, lenw, hF
+    lenw = np.tile(w, len(facets)) * hF
+    return space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF)
 
 
 def _scatter(rows, cols, vals, shape):
@@ -311,15 +310,9 @@ def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False,
     The multiplier equation enforces the Dirichlet data weakly; the
     bulk equation carries -integral(lambda_h v) on its left-hand side.
     """
-    space = FeSpace(mesh, k)
     bspace = BoundarySpace(mesh, kprime, continuous)
-    if degree is None:
-        degree = 2 * k + 4
-    A = fem.assemble_stiffness(space, problem.a, degree)
-    F = fem.assemble_load(space, problem.f, degree)
-
-    frep, trep, vals, adn, dofs, gv, lenw, hF = _facet_terms(
-        space, problem, degree)
+    space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF) = _prologue(
+        problem, mesh, k, degree)
     mvals = bspace.eval(trep)
     mdofs = bspace.facet_dofs[frep]
     C = _pair(vals, mvals, lenw, dofs, mdofs, (space.ndof, bspace.ndof))
@@ -341,15 +334,9 @@ def solve_barbosa_hughes(problem, mesh, k=2, kprime=0, continuous=False,
         raise ValueError("stabilization parameter must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    space = FeSpace(mesh, k)
     bspace = BoundarySpace(mesh, kprime, continuous)
-    if degree is None:
-        degree = 2 * k + 4
-    A = fem.assemble_stiffness(space, problem.a, degree)
-    F = fem.assemble_load(space, problem.f, degree)
-
-    frep, trep, vals, adn, dofs, gv, lenw, hF = _facet_terms(
-        space, problem, degree)
+    space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF) = _prologue(
+        problem, mesh, k, degree)
     mvals = bspace.eval(trep)
     mdofs = bspace.facet_dofs[frep]
     nb, nm = space.ndof, bspace.ndof
@@ -375,14 +362,8 @@ def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1, degree=None):
     """Penalty-consistent weak imposition of the Dirichlet data."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    space = FeSpace(mesh, k)
-    if degree is None:
-        degree = 2 * k + 4
-    A = fem.assemble_stiffness(space, problem.a, degree)
-    F = fem.assemble_load(space, problem.f, degree)
-
-    frep, trep, vals, adn, dofs, gv, lenw, hF = _facet_terms(
-        space, problem, degree)
+    space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF) = _prologue(
+        problem, mesh, k, degree)
     n = space.ndof
     N1 = _pair(vals, adn, lenw, dofs, dofs, (n, n))     # v * a dn(u)
     P = _pair(vals, vals, lenw * gamma / hF, dofs, dofs, (n, n))

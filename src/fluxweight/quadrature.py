@@ -57,12 +57,3 @@ def triangle_rule(degree):
             wts[idx] = wxi[i] * weta[j]
             idx += 1
     return pts, wts
-
-
-def quadrature(shape, degree):
-    """Return (points, weights) for `shape` in {"triangle", "segment"}."""
-    if shape == "triangle":
-        return triangle_rule(degree)
-    if shape == "segment":
-        return segment_rule(degree)
-    raise ValueError(f"unknown quadrature shape {shape!r}")

@@ -36,7 +36,7 @@ def table1():
     t0 = time.perf_counter()
     for k in (1, 2):
         cfg = AmrConfig(problem="franke", method="nitsche", k=k, initial_n=8)
-        out[k] = driver.uniform_study(cfg, 4)
+        out[k], _ = driver.uniform_study(cfg, 4)
     out["seconds"] = time.perf_counter() - t0
     return out
 
@@ -45,7 +45,7 @@ def table1():
 def table2_k0():
     cfg = AmrConfig(problem="franke", method="lagrange", k=2, kprime=0,
                     initial_n=8)
-    return driver.uniform_study(cfg, 4)
+    return driver.uniform_study(cfg, 4)[0]
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +54,14 @@ def table2_k2():
     # reference system grows 16x per level)
     cfg = AmrConfig(problem="franke", method="lagrange", k=2, kprime=2,
                     continuous=True, initial_n=8)
-    return driver.uniform_study(cfg, 5, e1_levels=4)
+    return driver.uniform_study(cfg, 5, e1_levels=4)[0]
 
 
 @pytest.fixture(scope="module")
 def table3():
     cfg = AmrConfig(problem="lshape-singular", method="nitsche", k=1,
                     initial_n=4)
-    return driver.uniform_study(cfg, 6, e1_levels=0)
+    return driver.uniform_study(cfg, 6, e1_levels=0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def franke_amr():
     for estim in ("eta", "eta_classical"):
         cfg = AmrConfig(problem="franke", method="nitsche", k=1,
                         estimator=estim, budget=20000)
-        out[estim] = driver.amr_loop(cfg)
+        out[estim], _ = driver.amr_loop(cfg)
     out["seconds"] = time.perf_counter() - out.pop("t0")
     return out
 
@@ -79,8 +79,8 @@ def franke_amr():
 def lshape_amr():
     cfg = AmrConfig(problem="lshape-singular", method="nitsche", k=1,
                     estimator="eta", budget=20000)
-    rec = driver.amr_loop(cfg)
-    graded = driver.graded_study(cfg, [0.3, 0.2, 0.14, 0.1, 0.085])
+    rec, _ = driver.amr_loop(cfg)
+    graded, _ = driver.graded_study(cfg, [0.3, 0.2, 0.14, 0.1, 0.085])
     return rec, graded
 
 

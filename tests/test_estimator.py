@@ -8,6 +8,7 @@ from fluxweight import fem, methods
 from fluxweight.mesh import (build_unit_square, compute_distance_field,
                              refine)
 from fluxweight.problems import problem_data
+from fluxweight.quadrature import segment_rule
 
 
 def test_weight_element_cases():
@@ -56,6 +57,88 @@ def test_residuals_vanish_for_reproduced_solution(linear_problem, square4):
             assert np.abs(arr).max() <= 1e-9
 
 
+def _zero_solution_patch_sq(mesh, u, grad_u):
+    """patch_sq of u_h = 0 for the data g = u.
+
+    With u_h = 0, the entry of facet F and vertex P is
+    int_0^1 (g_h^P)^2 dt + h_F^2 int_0^1 (d_s g_h^P - d_s g)^2 dt, where
+    g_h^P is the L2 projection of g onto the continuous piecewise
+    linears of the two-facet patch of P.
+    """
+    p = methods.ProblemSpec(
+        name="data", domain="unit-square",
+        a=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+        grad_a=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)),
+        f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        u=u, grad_u=grad_u)
+    sp = fem.FeSpace(mesh, 1)
+    fake = methods.DiscreteSolution(methods.NITSCHE, p, sp,
+                                    np.zeros(sp.ndof), gamma=10.0)
+    return est.compute_residuals(fake).patch_sq
+
+
+def _uneven_boundary(mesh):
+    """The mesh with its first boundary facet bisected: on square4,
+    facets 0 and 1 have length 1/8 and the others 1/4."""
+    for _ in range(2):
+        mesh = refine(mesh, [mesh.bf_tri[0]])
+    return mesh
+
+
+def test_patch_projection_constant_and_linear(square4):
+    # the projection reproduces continuous piecewise linear data, so
+    # g_h^P = g on both facets of every patch and the tangential term
+    # vanishes
+    mesh = _uneven_boundary(square4)
+    patch_sq = _zero_solution_patch_sq(
+        mesh, lambda x, y: np.full_like(np.asarray(x, dtype=float), 4.5),
+        lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)))
+    assert np.allclose(patch_sq, 4.5 ** 2, rtol=1e-12, atol=0.0)
+
+    def g_lin(x, y):
+        return 3.0 * x + 2.0 * y - 1.0
+
+    patch_sq = _zero_solution_patch_sq(
+        mesh, g_lin, lambda x, y: np.stack(
+            [np.full_like(np.asarray(x, dtype=float), 3.0),
+             np.full_like(np.asarray(y, dtype=float), 2.0)], axis=-1))
+    t, w = segment_rule(4)
+    nbf = mesh.num_boundary_facets
+    pts = mesh.boundary_points(np.repeat(np.arange(nbf), len(t)),
+                               np.tile(t, nbf))
+    g_sq = (g_lin(pts[:, 0], pts[:, 1]) ** 2).reshape(nbf, len(t)) @ w
+    assert np.allclose(patch_sq, g_sq[:, None], rtol=1e-12, atol=1e-14)
+
+
+def test_patch_projection_quadratic_dense_oracle(square4):
+    # g = x^2 is s^2 on the bottom edge; the vertex at s = 1/4 starts
+    # facet 2 (length 1/4), and its patch is facets 1 (length 1/8) and 2
+    mesh = _uneven_boundary(square4)
+    patch_sq = _zero_solution_patch_sq(
+        mesh, lambda x, y: x * x, lambda x, y: np.stack(
+            [2.0 * x, np.zeros_like(np.asarray(y, dtype=float))], axis=-1))
+    s0, L = mesh.bf_s0[[1, 2]], mesh.bf_len[[1, 2]]
+    assert np.allclose(s0, [0.125, 0.25]) and np.allclose(L, [0.125, 0.25])
+    # dense oracle: hat-function mass matrix and moments on the two facets
+    t, w = segment_rule(8)
+    phi = np.stack([1 - t, t], axis=1)
+    M = np.zeros((3, 3))
+    b = np.zeros(3)
+    for j in range(2):
+        s = s0[j] + t * L[j]
+        M[j:j + 2, j:j + 2] += (phi[:, :, None] * phi[:, None, :]
+                                * (w * L[j])[:, None, None]).sum(0)
+        b[j:j + 2] += (phi * (s * s * w * L[j])[:, None]).sum(0)
+    co = np.linalg.solve(M, b)
+    # facet 1 carries the patch as its right vertex, facet 2 as its left
+    for j, (facet, slot) in enumerate(((1, 1), (2, 0))):
+        ca, cb = co[j], co[j + 1]
+        gh = ca * (1 - t) + cb * t
+        dg = 2.0 * (s0[j] + t * L[j])
+        expect = gh ** 2 @ w + L[j] ** 2 * (((cb - ca) / L[j] - dg) ** 2 @ w)
+        assert patch_sq[facet, slot] == pytest.approx(expect, rel=1e-12)
+
+
 def test_volume_residual_constant_source(square8):
     p = methods.ProblemSpec(
         name="unit-f", domain="unit-square",
@@ -101,9 +184,9 @@ def test_flux_jump_hat_function():
 def test_eta_definition_single_contributions(square4):
     p = problem_data("franke")
     sol = methods.solve_nitsche(p, square4, k=1, gamma=10.0)
-    dist = compute_distance_field(square4)
     r = est.compute_residuals(sol)
-    sigma = est.element_weights(square4, dist, est.WeightConfig(1, 1, 1))
+    sigma = est.weight_element(square4.h_T, compute_distance_field(square4),
+                               est.WeightConfig(1, 1, 1))
     eta_T, eta, sigma_F = est.assemble_eta(r, sigma, square4, sol.method,
                                            gamma=sol.gamma)
     # global value is exactly the root of summed squares
@@ -127,9 +210,9 @@ def test_eta_definition_single_contributions(square4):
 def test_eta_homogeneity(square4):
     p = problem_data("franke")
     sol = methods.solve_lagrange(p, square4, k=2, kprime=0)
-    dist = compute_distance_field(square4)
     r = est.compute_residuals(sol)
-    sigma = est.element_weights(square4, dist, est.WeightConfig(1, 1, 2))
+    sigma = est.weight_element(square4.h_T, compute_distance_field(square4),
+                               est.WeightConfig(1, 1, 2))
     _, eta, _ = est.assemble_eta(r, sigma, square4, sol.method)
     import dataclasses
     r2 = dataclasses.replace(
@@ -146,11 +229,10 @@ def test_classical_matches_weighted_when_constructed(square4):
     import dataclasses
     p = problem_data("franke")
     sol = methods.solve_lagrange(p, square4, k=2, kprime=0)
-    dist = compute_distance_field(square4)
     r = est.compute_residuals(sol)
     r_mod = dataclasses.replace(r, r2F=r.r3F.copy())
-    sigma = est.element_weights(square4, dist,
-                                est.WeightConfig(1.0, 1e9, 1))
+    sigma = est.weight_element(square4.h_T, compute_distance_field(square4),
+                               est.WeightConfig(1.0, 1e9, 1))
     assert np.all(sigma == 1.0)
     eta_T, eta, _ = est.assemble_eta(r_mod, sigma, square4, sol.method)
     eta_T_c, eta_c = est.assemble_eta_classical(r, square4, sol.method)
@@ -202,12 +284,12 @@ def test_interior_refinement_decreases_weighted_bulk():
         fake = methods.DiscreteSolution(methods.NITSCHE, p, sp,
                                         np.zeros(sp.ndof), gamma=10.0)
         r = est.compute_residuals(fake)
-        sigma = est.element_weights(mesh, compute_distance_field(mesh), cfg)
+        sigma = est.weight_element(mesh.h_T, compute_distance_field(mesh),
+                                   cfg)
         return ((sigma * r.r1T) ** 2).sum()
 
     before = bulk_term(m)
-    dist = compute_distance_field(m)
-    interior = np.nonzero(dist.rho >= 0.15)[0]
+    interior = np.nonzero(compute_distance_field(m) >= 0.15)[0]
     assert len(interior) > 0
     after = bulk_term(refine(m, interior))
     assert after < before
@@ -216,10 +298,10 @@ def test_interior_refinement_decreases_weighted_bulk():
 def test_nitsche_patch_term_switch(square4):
     p = problem_data("franke")
     sol = methods.solve_nitsche(p, square4, k=1, gamma=10.0)
-    dist = compute_distance_field(square4)
-    full = est.build_indicators(sol, dist, est.WeightConfig(1, 1, 1),
+    rho = compute_distance_field(square4)
+    full = est.build_indicators(sol, rho, est.WeightConfig(1, 1, 1),
                                 include_patch_terms=True)
-    bare = est.build_indicators(sol, dist, est.WeightConfig(1, 1, 1),
+    bare = est.build_indicators(sol, rho, est.WeightConfig(1, 1, 1),
                                 include_patch_terms=False)
     assert bare.eta < full.eta
     # classical estimator unaffected by the switch
@@ -229,10 +311,10 @@ def test_nitsche_patch_term_switch(square4):
 def test_indicator_dump(tmp_path, square4):
     p = problem_data("franke")
     sol = methods.solve_nitsche(p, square4, k=1, gamma=10.0)
-    dist = compute_distance_field(square4)
-    ind = est.build_indicators(sol, dist, est.WeightConfig(1, 1, 1))
+    rho = compute_distance_field(square4)
+    ind = est.build_indicators(sol, rho, est.WeightConfig(1, 1, 1))
     path = tmp_path / "ind.csv"
-    est.dump_indicators(ind, square4, dist, path)
+    est.dump_indicators(ind, square4, rho, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "element_id,h_T,rho_T,sigma_T,r1T,etaT"
     assert len(lines) == 1 + square4.num_triangles

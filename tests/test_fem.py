@@ -174,42 +174,6 @@ def test_pure_neumann_constrained_solve(square4):
     assert np.linalg.norm(res) <= 1e-10 * (np.linalg.norm(b) + 1.0)
 
 
-def test_patch_projection_constant_and_linear(square4):
-    def g_const(fids, t):
-        return np.full(len(fids), 4.5)
-
-    co = fem.patch_l2_projection_linear(square4, g_const, [2, 3])
-    assert np.allclose(co, 4.5, atol=1e-13)
-
-    def g_lin(fids, t):
-        s = square4.bf_s0[fids] + t * square4.bf_len[fids]
-        return 3.0 * s - 1.0
-
-    co = fem.patch_l2_projection_linear(square4, g_lin, [2, 3])
-    s_nodes = np.array([0.5, 0.75, 1.0])
-    assert np.allclose(co, 3.0 * s_nodes - 1.0, atol=1e-12)
-
-
-def test_patch_projection_quadratic_dense_oracle(square4):
-    def g_sq(fids, t):
-        s = square4.bf_s0[fids] + t * square4.bf_len[fids]
-        return s * s
-
-    co = fem.patch_l2_projection_linear(square4, g_sq, [0, 1])
-    # dense oracle: hat-function mass matrix and moments on [0, 1/4], [1/4, 1/2]
-    t, w = segment_rule(8)
-    L = 0.25
-    M = np.zeros((3, 3))
-    b = np.zeros(3)
-    for j, s0 in enumerate([0.0, 0.25]):
-        s = s0 + t * L
-        phi = np.stack([1 - t, t], axis=1)
-        M[j:j + 2, j:j + 2] += (phi[:, :, None] * phi[:, None, :]
-                                * (w * L)[:, None, None]).sum(0)
-        b[j:j + 2] += (phi * (s * s * w * L)[:, None]).sum(0)
-    assert np.allclose(co, np.linalg.solve(M, b), atol=1e-13)
-
-
 def test_interpolation_reproduces_polynomials(square4):
     sp = fem.FeSpace(square4, 2)
     co = sp.interpolate(lambda x, y: x * x + 2 * x * y - y)

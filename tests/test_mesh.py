@@ -109,9 +109,9 @@ def test_lshape_random_refinement():
 
 
 def test_distance_field_boundary_zero(square8):
-    df = compute_distance_field(square8)
+    rho = compute_distance_field(square8)
     touches = square8.vertex_on_boundary[square8.triangles].any(axis=1)
-    assert (df.rho[touches] == 0.0).all()
+    assert (rho[touches] == 0.0).all()
 
 
 def test_distance_point_example():
@@ -137,24 +137,26 @@ def test_distance_lshape_brute_force():
 
 
 def test_rho_zero_iff_patch_touches(square8):
-    df = compute_distance_field(square8)
+    rho = compute_distance_field(square8)
+    tri = square8.triangles
     for t in range(square8.num_triangles):
-        patch = df.patch(t)
-        verts = np.unique(square8.triangles[patch])
+        # brute-force patch: every triangle sharing a vertex with t
+        patch = np.isin(tri, tri[t]).any(axis=1)
+        verts = np.unique(tri[patch])
         touches = square8.vertex_on_boundary[verts].any()
-        assert (df.rho[t] == 0.0) == touches
+        assert (rho[t] == 0.0) == touches
         dmin = distance_to_boundary(
             "unit-square", square8.vertices[verts]).min()
-        assert df.rho[t] <= dmin + 1e-14
+        assert abs(rho[t] - dmin) <= 1e-14
 
 
 def test_rho_under_refinement(square8):
-    df0 = compute_distance_field(square8)
+    rho0 = compute_distance_field(square8)
     r = refine(square8, np.arange(square8.num_triangles))
-    df1 = compute_distance_field(r)
+    rho1 = compute_distance_field(r)
     for child in range(r.num_triangles):
         p = r.parent[child]
-        assert df1.rho[child] <= df0.rho[p] + square8.h_T[p] + 1e-13
+        assert rho1[child] <= rho0[p] + square8.h_T[p] + 1e-13
 
 
 def test_arc_tiling_after_refinement(square4):

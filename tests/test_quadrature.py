@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fluxweight.quadrature import quadrature, segment_rule, triangle_rule
+from fluxweight.quadrature import segment_rule, triangle_rule
 
 
 def monomial_integral(a, b):
@@ -55,5 +55,3 @@ def test_unsupported_degrees_rejected():
         triangle_rule(13)
     with pytest.raises(ValueError):
         segment_rule(21)
-    with pytest.raises(ValueError):
-        quadrature("hexagon", 2)
