@@ -93,26 +93,23 @@ def _volume_residual(solution, degree):
     space, problem = solution.space, solution.problem
     mesh = space.mesh
     qp, qw = triangle_rule(degree)
-    el = space.element
-    href = el.hess(qp)          # (nq, nd, 3)
-    gref = el.grad(qp)          # (nq, nd, 2)
+    href = space.element.hess(qp)          # (nq, nd, 3)
     out = np.empty(mesh.num_triangles)
     for blk in fem._blocks(mesh.num_triangles):
-        J, invJT, det = mesh.jacobians(blk)
-        Minv = np.einsum("tac,tad->tcd", invJT, invJT)
-        lap = (Minv[:, None, None, 0, 0] * href[None, :, :, 0]
-               + 2.0 * Minv[:, None, None, 0, 1] * href[None, :, :, 1]
-               + Minv[:, None, None, 1, 1] * href[None, :, :, 2])
-        gphys = np.einsum("tab,qjb->tqja", invJT, gref)
+        _, invJT, det = mesh.jacobians(blk)
+        Minv = invJT.transpose(0, 2, 1) @ invJT
         co = solution.coeffs[space.tri_dofs[blk]]
-        lap_u = np.einsum("tj,tqj->tq", co, lap)
-        grad_u = np.einsum("tj,tqja->tqa", co, gphys)
+        hu = fem.contract(co, href)          # reference (xx, xy, yy)
+        lap_u = (Minv[:, None, 0, 0] * hu[..., 0]
+                 + 2.0 * Minv[:, None, 0, 1] * hu[..., 1]
+                 + Minv[:, None, 1, 1] * hu[..., 2])
+        grad_u = space.grad_cells(solution.coeffs, blk, qp)
         pts = mesh.triangle_points(blk, qp)
         x, y = pts[..., 0], pts[..., 1]
         ga = problem.grad_a(x, y)
         res = (problem.f(x, y) + problem.a(x, y) * lap_u
                + ga[..., 0] * grad_u[..., 0] + ga[..., 1] * grad_u[..., 1])
-        out[blk] = np.sqrt(np.einsum("tq,tq,q,t->t", res, res, qw, det))
+        out[blk] = np.sqrt((res * res) @ qw * det)
     return mesh.h_T * out
 
 
@@ -153,9 +150,9 @@ def _grad_at_physical(space, coeffs, tri_ids, pts):
     d = pts - p0
     # reference coords: J^{-1} d  (invJT is J^{-T})
     ref = np.einsum("nba,nb->na", invJT, d)
-    g = space.element.grad(ref)
-    gphys = np.einsum("nab,njb->nja", invJT, g)
-    return np.einsum("nj,nja->na", coeffs[space.tri_dofs[tri_ids]], gphys)
+    gr = np.einsum("nj,njb->nb", coeffs[space.tri_dofs[tri_ids]],
+                   space.element.grad(ref))
+    return np.einsum("nab,nb->na", invJT, gr)
 
 
 def _boundary_residuals(solution, degree):

@@ -44,11 +44,10 @@ def config_from(manifest, overrides=None):
 
 
 class StudyResult:
-    def __init__(self, name, records, state=None, extra=None):
+    def __init__(self, name, records, state=None):
         self.name = name
         self.records = records          # dict label -> ConvergenceRecord
         self.state = state              # final (mesh, sol, ind, rho)
-        self.extra = extra or {}
 
     @property
     def primary(self):
@@ -115,7 +114,7 @@ def run_study(study, manifest, out_dir, dumps):
         write_weight_summary(meshes, sdir / "summary.csv")
         if dumps.get("mesh"):
             dump_mesh(meshes[-1], sdir / "final_mesh.txt")
-        return StudyResult(name, records, extra={"meshes": meshes})
+        return StudyResult(name, records)
     else:
         raise ValueError(f"unknown study type {kind!r}")
 

@@ -6,7 +6,18 @@ the higher orders back the reference solves of the dual-norm evaluator).
 Assembly is vectorized over element blocks with a deterministic
 reduction order.  The solver contract is a direct sparse factorization
 with a verified residual.
+
+Bulk kernels do their per-point work on the reference element and map to
+physical coordinates once per triangle.  The stiffness matrix uses the
+reference tensor S[q, b, c, i, j] = d_b phi_i d_c phi_j at the quadrature
+points (summed against the weights when the coefficient is constant), so
+the element matrices of a block are one matrix product of the per-triangle
+metric det J^-1 J^-T (times a(x_q) w_q) with S.  Gradients of a discrete
+function contract its coefficients with the reference gradients first and
+apply J^-T after.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -77,30 +88,20 @@ class FeSpace:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_cells(self, coeffs, tri_ids, ref_pts):
-        """Values of the coefficient function at reference points.
-
-        Returns shape (len(tri_ids), len(ref_pts)).
-        """
-        vals = self.element.eval(ref_pts)  # (nq, nd)
-        return np.einsum("tj,qj->tq", coeffs[self.tri_dofs[tri_ids]], vals)
-
     def grad_cells(self, coeffs, tri_ids, ref_pts):
         """Physical gradients, shape (len(tri_ids), len(ref_pts), 2)."""
-        g = self.element.grad(ref_pts)  # (nq, nd, 2)
+        co = coeffs[self.tri_dofs[tri_ids]]
         _, invJT, _ = self.mesh.jacobians(tri_ids)
-        gphys = np.einsum("tab,qjb->tqja", invJT, g)
-        return np.einsum("tj,tqja->tqa", coeffs[self.tri_dofs[tri_ids]], gphys)
+        ref_grad = contract(co, self.element.grad(ref_pts))
+        return ref_grad @ invJT.transpose(0, 2, 1)
 
-    def interpolate(self, fn):
-        """Nodal interpolation of fn(x, y) onto the space."""
-        out = np.empty(self.ndof)
-        nodes = self.element.nodes
-        pts = self.mesh.triangle_points(np.arange(self.mesh.num_triangles),
-                                        nodes)
-        vals = fn(pts[..., 0], pts[..., 1])
-        out[self.tri_dofs.ravel()] = vals.ravel()
-        return out
+
+def contract(co, table):
+    """Coefficients (t, nd) against a reference table (nq, nd, c) of
+    basis derivatives: shape (t, nq, c), by one matrix product."""
+    nq, nd, c = table.shape
+    flat = table.transpose(1, 0, 2).reshape(nd, nq * c)
+    return (co @ flat).reshape(len(co), nq, c)
 
 
 def facet_point_basis(space, facet_ids, t, gradients=False):
@@ -212,6 +213,21 @@ def _blocks(n, size=_BLOCK):
         yield np.arange(lo, min(lo + size, n))
 
 
+@lru_cache(maxsize=None)
+def _stiffness_tensor(order, degree):
+    """Reference tensor S[q, b, c, i, j] = d_b phi_i d_c phi_j at the
+    points of the degree rule, as a (nq * 4, nd * nd) matrix, and its
+    weighted sum over q, as a (4, nd * nd) matrix."""
+    qp, qw = triangle_rule(degree)
+    g = reference_element(order).grad(qp)  # (nq, nd, 2)
+    nq, nd, _ = g.shape
+    S = np.einsum("qib,qjc->qbcij", g, g).reshape(nq, 4, nd * nd)
+    Sw = np.einsum("q,qkm->km", qw, S)
+    S = S.reshape(nq * 4, nd * nd)
+    S.flags.writeable = Sw.flags.writeable = False
+    return S, Sw
+
+
 def assemble_stiffness(space, a=None, degree=None):
     """Stiffness matrix of the diffusion form with scalar coefficient a.
 
@@ -222,19 +238,21 @@ def assemble_stiffness(space, a=None, degree=None):
     if degree is None:
         degree = 2 * space.order + 4
     qp, qw = triangle_rule(degree)
-    gref = el.grad(qp)  # (nq, nd, 2)
+    S, Sw = _stiffness_tensor(space.order, degree)
     rows, cols, vals = [], [], []
     for blk in _blocks(mesh.num_triangles):
         _, invJT, det = mesh.jacobians(blk)
-        g = np.einsum("tab,qjb->tqja", invJT, gref)
+        # det * J^-1 J^-T, flattened over (b, c)
+        metric = (det[:, None, None] * (invJT.transpose(0, 2, 1) @ invJT)
+                  ).reshape(-1, 4)
         if a is None:
-            av = np.ones((len(blk), len(qw)))
+            Ke = metric @ Sw
         else:
             pts = mesh.triangle_points(blk, qp)
-            av = a(pts[..., 0], pts[..., 1])
-            av = np.broadcast_to(av, (len(blk), len(qw)))
-        Ke = np.einsum("tqia,tqja,tq,q,t->tij", g, g, av, qw, det,
-                       optimize=True)
+            av = np.broadcast_to(a(pts[..., 0], pts[..., 1]),
+                                 (len(blk), len(qw)))
+            Ke = ((av * qw)[:, :, None] * metric[:, None, :]).reshape(
+                len(blk), -1) @ S
         d = space.tri_dofs[blk]
         rows.append(np.repeat(d, el.ndof, axis=1).ravel())
         cols.append(np.tile(d, (1, el.ndof)).ravel())
@@ -335,28 +353,6 @@ def solve(system, constraint=None):
     return x[:n] if constraint is not None else x
 
 
-def assemble_grad_load(space, vec_field, degree=None):
-    """Vector r_i = integral of vec_field . grad(phi_i).
-
-    vec_field(x, y) returns shape (..., 2); used for consistency checks
-    against analytically known gradients.
-    """
-    mesh, el = space.mesh, space.element
-    if degree is None:
-        degree = 2 * space.order + 4
-    qp, qw = triangle_rule(degree)
-    gref = el.grad(qp)
-    r = np.zeros(space.ndof)
-    for blk in _blocks(mesh.num_triangles):
-        _, invJT, det = mesh.jacobians(blk)
-        g = np.einsum("tab,qjb->tqja", invJT, gref)
-        pts = mesh.triangle_points(blk, qp)
-        fv = vec_field(pts[..., 0], pts[..., 1])
-        re = np.einsum("tqa,tqja,q,t->tj", fv, g, qw, det)
-        np.add.at(r, space.tri_dofs[blk], re)
-    return r
-
-
 def h1_seminorm_error(space, coeffs, grad_exact, degree=None):
     """|grad(u - u_h)| over the mesh, with grad_exact(x, y) -> (..., 2)."""
     mesh = space.mesh
@@ -367,8 +363,7 @@ def h1_seminorm_error(space, coeffs, grad_exact, degree=None):
     for blk in _blocks(mesh.num_triangles):
         _, _, det = mesh.jacobians(blk)
         pts = mesh.triangle_points(blk, qp)
-        ge = grad_exact(pts[..., 0], pts[..., 1])
-        gh = space.grad_cells(coeffs, blk, qp)
-        diff = ge - gh
-        total += np.einsum("tqa,tqa,q,t->", diff, diff, qw, det)
+        diff = (grad_exact(pts[..., 0], pts[..., 1])
+                - space.grad_cells(coeffs, blk, qp))
+        total += ((diff * diff).sum(axis=-1) @ qw) @ det
     return float(np.sqrt(total))

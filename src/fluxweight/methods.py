@@ -395,19 +395,3 @@ def compatibility_defect(solution, degree=None):
     int_lam = float((lam * lenw).sum())
     int_f = float(fem.assemble_load(solution.space, problem.f, degree).sum())
     return int_lam + int_f
-
-
-def exact_flux_integral_defect(solution, degree=16):
-    """integral(lambda - lambda_h) computed with high-degree quadrature."""
-    problem = solution.problem
-    mesh = solution.mesh
-    t, w = segment_rule(degree)
-    facets = np.arange(mesh.num_boundary_facets)
-    frep = np.repeat(facets, len(t))
-    trep = np.tile(t, len(facets))
-    pts = mesh.boundary_points(frep, trep)
-    nrm = mesh.bf_normal[frep]
-    lam = problem.exact_flux(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
-    lam_h = solution.flux_values(frep, trep)
-    lenw = np.tile(w, len(facets)) * mesh.bf_len[frep]
-    return float(((lam - lam_h) * lenw).sum())

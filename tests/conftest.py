@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fluxweight.methods import ProblemSpec
+from fluxweight.quadrature import segment_rule, triangle_rule
 
 
 def make_linear_problem(cx=2.0, cy=3.0, c0=1.0):
@@ -43,6 +44,59 @@ def make_gentle_problem():
 
     return ProblemSpec(name="gentle", domain="unit-square", a=a,
                        grad_a=grad_a, f=f, u=u, grad_u=grad_u)
+
+
+def interpolate(space, fn):
+    """Nodal interpolation of fn(x, y) onto a FeSpace."""
+    out = np.empty(space.ndof)
+    pts = space.mesh.triangle_points(np.arange(space.mesh.num_triangles),
+                                     space.element.nodes)
+    vals = fn(pts[..., 0], pts[..., 1])
+    out[space.tri_dofs.ravel()] = vals.ravel()
+    return out
+
+
+def eval_cells(space, coeffs, tri_ids, ref_pts):
+    """Values of a discrete function at reference points of the given
+    triangles, shape (len(tri_ids), len(ref_pts))."""
+    vals = space.element.eval(ref_pts)  # (nq, nd)
+    return np.einsum("tj,qj->tq", coeffs[space.tri_dofs[tri_ids]], vals)
+
+
+def assemble_grad_load(space, vec_field, degree=None):
+    """Vector r_i = integral of vec_field . grad(phi_i), with
+    vec_field(x, y) -> (..., 2).  Built from the physical basis
+    gradients at every quadrature point, independently of the
+    reference-tensor kernels of fluxweight.fem."""
+    mesh, el = space.mesh, space.element
+    if degree is None:
+        degree = 2 * space.order + 4
+    qp, qw = triangle_rule(degree)
+    gref = el.grad(qp)
+    r = np.zeros(space.ndof)
+    _, invJT, det = mesh.jacobians()
+    g = np.einsum("tab,qjb->tqja", invJT, gref)
+    pts = mesh.triangle_points(np.arange(mesh.num_triangles), qp)
+    fv = vec_field(pts[..., 0], pts[..., 1])
+    re = np.einsum("tqa,tqja,q,t->tj", fv, g, qw, det)
+    np.add.at(r, space.tri_dofs, re)
+    return r
+
+
+def exact_flux_integral_defect(solution, degree=16):
+    """integral(lambda - lambda_h) computed with high-degree quadrature."""
+    problem = solution.problem
+    mesh = solution.mesh
+    t, w = segment_rule(degree)
+    facets = np.arange(mesh.num_boundary_facets)
+    frep = np.repeat(facets, len(t))
+    trep = np.tile(t, len(facets))
+    pts = mesh.boundary_points(frep, trep)
+    nrm = mesh.bf_normal[frep]
+    lam = problem.exact_flux(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
+    lam_h = solution.flux_values(frep, trep)
+    lenw = np.tile(w, len(facets)) * mesh.bf_len[frep]
+    return float(((lam - lam_h) * lenw).sum())
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from fluxweight import driver, estimator, fem, methods, norms
 from fluxweight.driver import AmrConfig
 from fluxweight.mesh import build_unit_square, check_mesh, refine
 
-from conftest import make_linear_problem
+from conftest import exact_flux_integral_defect, make_linear_problem
 
 # the studies take minutes: `pytest -m "not slow"` leaves them out
 pytestmark = pytest.mark.slow
@@ -268,7 +268,7 @@ def test_criterion_9_property_suites():
     from fluxweight.problems import problem_data
     p = problem_data("franke")
     ni = methods.solve_nitsche(p, build_unit_square(32), k=1, gamma=10.0)
-    checks.append(abs(methods.exact_flux_integral_defect(ni)) <= 1e-9)
+    checks.append(abs(exact_flux_integral_defect(ni)) <= 1e-9)
     # penalty-multiplier elimination equivalence to 1e-8
     poly = methods.ProblemSpec(
         name="poly", domain="unit-square",

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from fluxweight import fem
 from fluxweight.elements import reference_element
-from fluxweight.mesh import build_unit_square
+from fluxweight.mesh import Mesh, build_unit_square, refine
+from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule, triangle_rule
+
+from conftest import eval_cells, interpolate
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -69,6 +74,71 @@ def test_stiffness_variable_coefficient_single_element_oracle():
     assert d.data.max(initial=0.0) <= 1e-10 * np.abs(Ah.data).max()
 
 
+def _distorted_square4():
+    """square4 with some triangles bisected once or twice and its interior
+    vertices moved, so that the element Jacobians differ in size,
+    orientation and shape (those of right isosceles triangles are all
+    multiples of orthogonal matrices)."""
+    m = refine(build_unit_square(4), [0, 5, 17, 30])
+    m = refine(m, [1, 8, 20, m.num_triangles - 1])
+    x, y = m.vertices.T
+    bump = 0.06 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    return Mesh(m.vertices + bump[:, None] * [1.0, -0.6], m.triangles,
+                m.domain)
+
+
+def _pointwise_gradients(mesh, el, t, x_ref):
+    """Physical basis gradients (nd, 2) and the physical point of one
+    reference point in triangle t."""
+    p = mesh.vertices[mesh.triangles[t]]
+    J = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    return el.grad(x_ref[None])[0] @ np.linalg.inv(J), p[0] + J @ x_ref
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_stiffness_and_gradients_pointwise_oracle(order):
+    # plain loops over triangles and quadrature points
+    m = _distorted_square4()
+    assert (m.jacobians()[2] > 0).all()
+    sp = fem.FeSpace(m, order)
+    el = sp.element
+    a_var = problem_data("varcoef-peak").a
+    qp, qw = triangle_rule(2 * order + 4)
+    co = np.random.default_rng(order).standard_normal(sp.ndof)
+    Kc = np.zeros((sp.ndof, sp.ndof))
+    Kv = np.zeros((sp.ndof, sp.ndof))
+    grads = np.zeros((m.num_triangles, len(qw), 2))
+    for t in range(m.num_triangles):
+        d = sp.tri_dofs[t]
+        p = m.vertices[m.triangles[t]]
+        det = abs(np.linalg.det(np.column_stack([p[1] - p[0],
+                                                 p[2] - p[0]])))
+        for q in range(len(qw)):
+            G, x = _pointwise_gradients(m, el, t, qp[q])
+            Ke = qw[q] * det * (G @ G.T)
+            Kc[np.ix_(d, d)] += Ke
+            Kv[np.ix_(d, d)] += a_var(x[0], x[1]) * Ke
+            grads[t, q] = co[d] @ G
+    for a, oracle in ((None, Kc), (a_var, Kv)):
+        K = fem.assemble_stiffness(sp, a).toarray()
+        assert np.abs(K - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    got = sp.grad_cells(co, np.arange(m.num_triangles), qp)
+    assert np.abs(got - grads).max() <= 1e-13 * np.abs(grads).max()
+
+
+def test_stiffness_memory_peak():
+    # the P3 E1 reference of an AMR study on a 64x64 square; the old
+    # per-point kernel peaked at 108 MB here
+    sp = fem.FeSpace(build_unit_square(64), 3)
+    tracemalloc.start()
+    try:
+        fem.assemble_stiffness(sp, degree=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_load_partition_of_unity(square8):
     sp = fem.FeSpace(square8, 1)
     b = fem.assemble_load(sp, lambda x, y: np.ones_like(x))
@@ -78,7 +148,6 @@ def test_load_partition_of_unity(square8):
 
 
 def test_load_franke_refined_quadrature_oracle():
-    from fluxweight.problems import problem_data
     p = problem_data("franke")
     m = build_unit_square(32)
     sp = fem.FeSpace(m, 2)
@@ -176,10 +245,10 @@ def test_pure_neumann_constrained_solve(square4):
 
 def test_interpolation_reproduces_polynomials(square4):
     sp = fem.FeSpace(square4, 2)
-    co = sp.interpolate(lambda x, y: x * x + 2 * x * y - y)
+    co = interpolate(sp, lambda x, y: x * x + 2 * x * y - y)
     qp, _ = triangle_rule(4)
     tris = np.arange(square4.num_triangles)
-    vals = sp.eval_cells(co, tris, qp)
+    vals = eval_cells(sp, co, tris, qp)
     pts = square4.triangle_points(tris, qp)
     exact = pts[..., 0] ** 2 + 2 * pts[..., 0] * pts[..., 1] - pts[..., 1]
     assert np.abs(vals - exact).max() <= 1e-13
