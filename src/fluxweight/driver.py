@@ -4,10 +4,16 @@ over one `step`.
 
 Every study returns a ConvergenceRecord and the state of its last step;
 the error columns are E2 (the wavelet dual-norm surrogate, evaluated at
-every step), E1 (the auxiliary-problem value, evaluated where
-affordable), E = 4*E2 for the Nitsche/stabilized runs (the calibrated
-substitute for the true error), and the bulk energy error when the exact
-solution is known.
+every step), E1 (the auxiliary-problem value: at the final AMR step and
+at the uniform levels asked for), E = 4*E2 for the Nitsche/stabilized
+runs (the calibrated substitute for the true error), and the bulk energy
+error when the exact solution is known.
+
+Every E1 uses one reference rule: the harmonic lifting is solved at
+order k+2 on the boundary band of the step's mesh, where the triangles
+whose vertex patch touches the boundary are bisected twice
+(`mesh.boundary_band`).  Its boundary facets are those of the mesh
+bisected twice everywhere, at a fraction of the unknowns.
 """
 
 import logging
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import estimator as est
 from . import fem, methods, norms
-from .mesh import (build_domain_mesh, build_graded_mesh, build_unit_square,
+from .mesh import (boundary_band, build_domain_mesh, build_graded_mesh,
                    compute_distance_field, refine, uniform_refine)
 from .problems import problem_data
 
@@ -162,14 +168,17 @@ def _true_error_scale(config):
                                     methods.BARBOSA_HUGHES) else 1.0
 
 
-def _e1_of(delta, config, fine_mesh):
-    return norms.neumann_dual_error(delta, fine_mesh, order=config.k + 2)
+def _e1_of(delta, config, mesh):
+    """E1 of `delta` under the module's reference rule: order k+2 on
+    the boundary band of `mesh`."""
+    return norms.neumann_dual_error(delta, boundary_band(mesh, 2),
+                                    order=config.k + 2)
 
 
 def step(config, problem, mesh, e1=False):
     """One step of any study on `mesh`: solve, the patch distances rho_T,
     both estimators, E2, the energy error when the exact solution is
-    known and, with `e1`, E1 on the mesh bisected twice.
+    known and, with `e1`, E1 (see `_e1_of`).
 
     Returns the record row (the keywords of ConvergenceRecord.append,
     `seconds` included) and the state (mesh, solution, indicators, rho).
@@ -190,7 +199,7 @@ def step(config, problem, mesh, e1=False):
                E2=e2, E=_true_error_scale(config) * e2,
                energy_err=energy, h=float(mesh.h_T.max()))
     if e1:
-        row["E1"] = _e1_of(delta, config, uniform_refine(mesh, 2))
+        row["E1"] = _e1_of(delta, config, mesh)
     row["seconds"] = time.perf_counter() - t0
     return row, (mesh, solution, ind, rho)
 
@@ -198,10 +207,10 @@ def step(config, problem, mesh, e1=False):
 def amr_loop(config):
     """Adaptive loop from the coarse initial mesh up to the DOF budget.
 
-    Stops before the refinement that would exceed the budget; E1 is
-    evaluated at the final step only (unit-square problems, on the
-    uniform reference mesh), E2 at every step.  Returns the record and
-    the state of the final step (see `step`).
+    Stops before the refinement that would exceed the budget; E2 is
+    evaluated at every step, E1 at the final step only (on its boundary
+    band, as in `step`).  Returns the record and the state of the final
+    step (see `step`).
     """
     problem = problem_data(config.problem)
     mesh = build_domain_mesh(problem.domain, config.initial_n)
@@ -217,9 +226,8 @@ def amr_loop(config):
         if count_dofs(nxt, config) > config.budget:
             break
         mesh = nxt
-    if problem.domain == "unit-square":
-        delta = norms.flux_error_function(state[1])
-        record.E1[-1] = _e1_of(delta, config, build_unit_square(64))
+    record.E1[-1] = _e1_of(norms.flux_error_function(state[1]), config,
+                           mesh)
     return record, state
 
 
@@ -276,13 +284,14 @@ def weight_demo(k=2, c2=1.0, steps=7, theta=0.5, initial_n=4,
     return out
 
 
-def refinement_depth_stats(mesh, boundary_band=0.125, center_radius=0.2):
-    """Max refinement level of elements near the boundary vs the domain
-    center (by centroid position)."""
+def refinement_depth_stats(mesh, near_distance=0.125, center_radius=0.2):
+    """Max refinement level of elements near the boundary (centroid
+    within near_distance) vs the domain center (centroid within
+    center_radius of the middle)."""
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     from .mesh import distance_to_boundary
     d = distance_to_boundary(mesh.domain, cent)
-    near = mesh.level[d <= boundary_band]
+    near = mesh.level[d <= near_distance]
     poly_mid = mesh.polygon.mean(axis=0)
     ctr = mesh.level[np.hypot(cent[:, 0] - poly_mid[0],
                               cent[:, 1] - poly_mid[1]) <= center_radius]

@@ -114,45 +114,48 @@ def _volume_residual(solution, degree):
 
 
 def _flux_jumps(solution, degree):
+    """h^1/2 ||jump of a dn(u_h)||_F per interior edge.
+
+    The quadrature points of an edge sit at fixed places on a reference
+    edge of each neighbor, run in one of two directions, so the basis
+    gradients are tabulated once per (local edge, direction).
+    """
     space, problem = solution.space, solution.problem
     mesh = space.mesh
     edges = mesh.interior_edges
     if len(edges) == 0:
         return np.zeros(0)
     t, w = segment_rule(degree)
-    nq = len(t)
-    P = mesh.vertices[mesh.edges[edges, 0]]
-    Q = mesh.vertices[mesh.edges[edges, 1]]
+    ev = mesh.edges[edges]
+    P = mesh.vertices[ev[:, 0]]
+    Q = mesh.vertices[ev[:, 1]]
     pts = P[:, None, :] + t[None, :, None] * (Q - P)[:, None, :]
     L = mesh.edge_length[edges]
     nrm = np.stack([(Q - P)[:, 1], -(Q - P)[:, 0]], axis=-1) / L[:, None]
-    flat = pts.reshape(-1, 2)
-    jump = np.zeros(len(edges) * nq)
-    for side in range(2):
+    ref_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tables = {}
+    for le in range(3):
+        A, B = ref_verts[(le + 1) % 3], ref_verts[(le + 2) % 3]
+        for forward in (True, False):
+            s = t if forward else 1.0 - t
+            tables[le, forward] = space.element.grad(
+                A + s[:, None] * (B - A))            # (nq, nd, 2)
+    jump = np.zeros((len(edges), len(t)))
+    for side, sgn in ((0, 1.0), (1, -1.0)):
         tri = mesh.edge_tris[edges, side]
-        gu = _grad_at_physical(space, solution.coeffs,
-                               np.repeat(tri, nq), flat)
-        sgn = 1.0 if side == 0 else -1.0
-        jump += sgn * np.einsum("na,na->n",
-                                gu, np.repeat(nrm, nq, axis=0))
-    av = problem.a(flat[:, 0], flat[:, 1])
-    val = (av * jump).reshape(len(edges), nq)
+        le = mesh.edge_local[edges, side]
+        forward = mesh.triangles[tri, (le + 1) % 3] == ev[:, 0]
+        _, invJT, _ = mesh.jacobians(tri)
+        co = solution.coeffs[space.tri_dofs[tri]]
+        for (l, fw), table in tables.items():
+            sel = np.nonzero((le == l) & (forward == fw))[0]
+            if len(sel):
+                gu = (fem.contract(co[sel], table)
+                      @ invJT[sel].transpose(0, 2, 1))
+                jump[sel] += sgn * np.einsum("mqa,ma->mq", gu, nrm[sel])
+    val = problem.a(pts[..., 0], pts[..., 1]) * jump
     norm_sq = np.einsum("nq,nq,q->n", val, val, w) * L
     return np.sqrt(L) * np.sqrt(norm_sq)
-
-
-def _grad_at_physical(space, coeffs, tri_ids, pts):
-    """Gradient of the coefficient function at physical points inside
-    the given triangles."""
-    mesh = space.mesh
-    p0 = mesh.vertices[mesh.triangles[tri_ids, 0]]
-    J, invJT, _ = mesh.jacobians(tri_ids)
-    d = pts - p0
-    # reference coords: J^{-1} d  (invJT is J^{-T})
-    ref = np.einsum("nba,nb->na", invJT, d)
-    gr = np.einsum("nj,njb->nb", coeffs[space.tri_dofs[tri_ids]],
-                   space.element.grad(ref))
-    return np.einsum("nab,nb->na", invJT, gr)
 
 
 def _boundary_residuals(solution, degree):

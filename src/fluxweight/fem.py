@@ -17,6 +17,8 @@ function contract its coefficients with the reference gradients first and
 apply J^-T after.
 """
 
+import logging
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +28,8 @@ from scipy.sparse.linalg import splu
 
 from .elements import reference_element
 from .quadrature import segment_rule, triangle_rule
+
+log = logging.getLogger(__name__)
 
 _BLOCK = 16384
 
@@ -304,7 +308,10 @@ def solve(system, constraint=None):
     the factorization fails, when the factor is numerically singular
     (min|U_ii| < 1e-12 max|U_ii|, checked on factors of at most
     PIVOT_CHECK_MAX_NNZ nonzeros), or when the residual exceeds
-    1e-10 * (|b| + |A|*|x|).
+    1e-10 * (|b| + |A|*|x|).  Every solve that factors logs one INFO
+    line; its arguments are a dict with the order n and the nonzeros
+    nnz of the factored (bordered) system, the factor's lu_nnz, the
+    factor time factor_s and the residual-to-bound ratio res_ratio.
 
     The system is renumbered by reverse Cuthill-McKee and then factored
     by SuperLU under a minimum-degree ordering of A^T + A with diagonal
@@ -323,9 +330,11 @@ def solve(system, constraint=None):
     else:
         A_aug, b_aug = A, b
     perm = reverse_cuthill_mckee(A_aug)
+    t0 = time.perf_counter()
     try:
         lu = splu(A_aug[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        factor_s = time.perf_counter() - t0
         x = np.empty_like(b_aug)
         x[perm] = lu.solve(b_aug[perm])
     except Exception as exc:  # factorization breakdown
@@ -336,6 +345,10 @@ def solve(system, constraint=None):
     res = np.linalg.norm(A_aug @ x - b_aug)
     normA = np.abs(A.data).max(initial=0.0)
     bound = 1e-10 * (np.linalg.norm(b_aug) + normA * np.linalg.norm(x))
+    log.info("solve: n=%(n)d nnz(A)=%(nnz)d lu.nnz=%(lu_nnz)d "
+             "factor %(factor_s).3f s residual/bound %(res_ratio).2e",
+             dict(n=A_aug.shape[0], nnz=A_aug.nnz, lu_nnz=lu.nnz,
+                  factor_s=factor_s, res_ratio=res / max(bound, 1e-300)))
     if res > max(bound, 1e-300):
         raise SolverError(
             f"residual contract violated: |Ax-b|={res:.3e} > {bound:.3e} "

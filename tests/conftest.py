@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluxweight.mesh import Mesh, build_unit_square, refine
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
 
@@ -44,6 +45,19 @@ def make_gentle_problem():
 
     return ProblemSpec(name="gentle", domain="unit-square", a=a,
                        grad_a=grad_a, f=f, u=u, grad_u=grad_u)
+
+
+def distorted_square4():
+    """square4 with some triangles bisected once or twice and its interior
+    vertices moved, so that the element Jacobians differ in size,
+    orientation and shape (those of right isosceles triangles are all
+    multiples of orthogonal matrices)."""
+    m = refine(build_unit_square(4), [0, 5, 17, 30])
+    m = refine(m, [1, 8, 20, m.num_triangles - 1])
+    x, y = m.vertices.T
+    bump = 0.06 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    return Mesh(m.vertices + bump[:, None] * [1.0, -0.6], m.triangles,
+                m.domain)
 
 
 def interpolate(space, fn):
@@ -111,11 +125,9 @@ def gentle_problem():
 
 @pytest.fixture(scope="session")
 def square4():
-    from fluxweight.mesh import build_unit_square
     return build_unit_square(4)
 
 
 @pytest.fixture(scope="session")
 def square8():
-    from fluxweight.mesh import build_unit_square
     return build_unit_square(8)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxweight import driver, methods
+from fluxweight import driver, methods, norms
 from fluxweight.driver import AmrConfig, mark
-from fluxweight.mesh import build_unit_square
+from fluxweight.mesh import build_unit_square, uniform_refine
 
 
 def test_mark_examples():
@@ -80,6 +80,26 @@ def test_amr_records_monotone_N():
     assert (np.diff(n) > 0).all()
     assert n[-1] <= 400
     assert np.isfinite(rec.E2).all()
+
+
+def test_amr_final_e1_resolved():
+    # the final E1 matches the reference of the final mesh bisected twice
+    # everywhere, as the benchmark's e1_resolved_rtol check asks; at this
+    # budget a fixed 64x64 reference reads 11.6% low
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1, budget=3000,
+                    wavelet_level=10)
+    rec, (mesh, solution, _, _) = driver.amr_loop(cfg)
+    assert np.isnan(rec.E1[:-1]).all()
+    ref = norms.neumann_dual_error(norms.flux_error_function(solution),
+                                   uniform_refine(mesh, 2), order=cfg.k + 2)
+    assert rec.E1[-1] == pytest.approx(ref, rel=0.05)
+
+
+def test_amr_final_e1_lshape():
+    cfg = AmrConfig(problem="lshape-singular", method="nitsche", k=1,
+                    budget=300, wavelet_level=10)
+    rec, _ = driver.amr_loop(cfg)
+    assert np.isfinite(rec.E1[-1]) and rec.E1[-1] > 0
 
 
 def test_amr_determinism():

@@ -10,6 +10,8 @@ from fluxweight.mesh import (build_unit_square, compute_distance_field,
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
+from conftest import distorted_square4
+
 
 def test_weight_element_cases():
     cfg = est.WeightConfig(1.0, 1.0, 1)
@@ -179,6 +181,39 @@ def test_flux_jump_hat_function():
     expect = hF ** 0.5 * np.sqrt(2.0) * hF ** 0.5  # h^(1/2) |jump| |F|^(1/2)
     assert len(r.r0F) == 1
     assert r.r0F[0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_flux_jumps_pointwise_oracle(order):
+    # plain loops over interior edges, quadrature points and both
+    # neighbors, each locating the point in its triangle by J^-1
+    m = distorted_square4()
+    p = problem_data("varcoef-peak")
+    sp = fem.FeSpace(m, order)
+    co = np.random.default_rng(order).standard_normal(sp.ndof)
+    sol = methods.DiscreteSolution(methods.NITSCHE, p, sp, co, gamma=10.0)
+    degree = 2 * order + 4
+    t, w = segment_rule(degree)
+    expect = []
+    for e in m.interior_edges:
+        P, Q = m.vertices[m.edges[e]]
+        L = np.hypot(*(Q - P))
+        n = np.array([(Q - P)[1], -(Q - P)[0]]) / L
+        norm_sq = 0.0
+        for tq, wq in zip(t, w):
+            x = P + tq * (Q - P)
+            jump = 0.0
+            for side, sgn in ((0, 1.0), (1, -1.0)):
+                tri = m.edge_tris[e, side]
+                v = m.vertices[m.triangles[tri]]
+                J = np.column_stack([v[1] - v[0], v[2] - v[0]])
+                ref = np.linalg.solve(J, x - v[0])
+                G = sp.element.grad(ref[None])[0] @ np.linalg.inv(J)
+                jump += sgn * (co[sp.tri_dofs[tri]] @ G) @ n
+            norm_sq += wq * L * (p.a(x[0], x[1]) * jump) ** 2
+        expect.append(np.sqrt(L) * np.sqrt(norm_sq))
+    got = est.compute_residuals(sol, degree).r0F
+    assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
 
 
 def test_eta_definition_single_contributions(square4):

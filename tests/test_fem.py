@@ -6,11 +6,11 @@ from scipy import sparse
 
 from fluxweight import fem
 from fluxweight.elements import reference_element
-from fluxweight.mesh import Mesh, build_unit_square, refine
+from fluxweight.mesh import boundary_band, build_unit_square, uniform_refine
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule, triangle_rule
 
-from conftest import eval_cells, interpolate
+from conftest import distorted_square4, eval_cells, interpolate
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -74,23 +74,10 @@ def test_stiffness_variable_coefficient_single_element_oracle():
     assert d.data.max(initial=0.0) <= 1e-10 * np.abs(Ah.data).max()
 
 
-def _distorted_square4():
-    """square4 with some triangles bisected once or twice and its interior
-    vertices moved, so that the element Jacobians differ in size,
-    orientation and shape (those of right isosceles triangles are all
-    multiples of orthogonal matrices)."""
-    m = refine(build_unit_square(4), [0, 5, 17, 30])
-    m = refine(m, [1, 8, 20, m.num_triangles - 1])
-    x, y = m.vertices.T
-    bump = 0.06 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    return Mesh(m.vertices + bump[:, None] * [1.0, -0.6], m.triangles,
-                m.domain)
-
-
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_stiffness_and_gradients_pointwise_oracle(order):
     # plain loops over triangles and quadrature points
-    m = _distorted_square4()
+    m = distorted_square4()
     assert (m.jacobians()[2] > 0).all()
     sp = fem.FeSpace(m, order)
     el = sp.element
@@ -119,7 +106,7 @@ def test_stiffness_and_gradients_pointwise_oracle(order):
 
 
 def test_stiffness_memory_peak():
-    # the P3 E1 reference of an AMR study: 37 249 DOFs, 8192 triangles
+    # P3 on 64x64, the size of an E1 reference: 37 249 DOFs, 8192 triangles
     # at 16 quadrature points; the matrix itself holds about 7 MB
     sp = fem.FeSpace(build_unit_square(64), 3)
     tracemalloc.start()
@@ -233,6 +220,28 @@ def test_pure_neumann_constrained_solve(square4):
     # the residual lives only in the constraint direction
     res -= (res @ c) / (c @ c) * c
     assert np.linalg.norm(res) <= 1e-10 * (np.linalg.norm(b) + 1.0)
+
+
+@pytest.mark.parametrize("reference", ["uniform", "band"])
+def test_reference_solve_fill_bounded(reference, caplog):
+    # the bordered E1 systems at P3 and P4 factor with lu.nnz <= 8 nnz(A)
+    # (at most 3.7x measured); SuperLU's natural column order exceeds it
+    base = build_unit_square(16)
+    m = uniform_refine(base, 2) if reference == "uniform" else \
+        boundary_band(base)
+    for order in (3, 4):
+        sp = fem.FeSpace(m, order)
+        A = fem.assemble_stiffness(sp, degree=2 * order)
+        c = fem.boundary_integral_vector(sp)
+        b = np.random.default_rng(order).standard_normal(sp.ndof)
+        with caplog.at_level("INFO", logger="fluxweight.fem"):
+            caplog.clear()
+            fem.solve(fem.SparseSystem(A, b, symmetric=True), constraint=c)
+        (rec,) = [r for r in caplog.records if r.name == "fluxweight.fem"]
+        stats = rec.args
+        assert stats["n"] == sp.ndof + 1
+        assert stats["res_ratio"] <= 1.0
+        assert stats["lu_nnz"] <= 8 * stats["nnz"], stats
 
 
 def test_interpolation_reproduces_polynomials(square4):

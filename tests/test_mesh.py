@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxweight import mesh as meshmod
-from fluxweight.mesh import (build_graded_mesh, build_lshape,
+from fluxweight.mesh import (boundary_band, build_graded_mesh, build_lshape,
                              build_unit_square, check_mesh,
                              compute_distance_field, distance_to_boundary,
                              refine, shape_regularity, uniform_refine)
@@ -85,6 +85,26 @@ def test_two_sweeps_halve_h(square4):
     r = uniform_refine(square4, 2)
     assert np.allclose(r.h_T.max(), square4.h_T.max() / 2)
     assert r.num_boundary_facets == 2 * square4.num_boundary_facets
+
+
+def _corner_amr_mesh():
+    """A bisected unit-square mesh: three rounds of marking near (0, 0)."""
+    m = build_unit_square(4)
+    for _ in range(3):
+        cent = m.vertices[m.triangles].mean(axis=1)
+        m = refine(m, np.nonzero(np.hypot(*cent.T) < 0.4)[0])
+    return m
+
+
+@pytest.mark.parametrize("make", [_corner_amr_mesh, lambda: build_lshape(8)],
+                         ids=["square-amr", "lshape8"])
+def test_boundary_band_facets_match_uniform(make):
+    m = make()
+    band = boundary_band(m)
+    check_mesh(band)
+    fine = uniform_refine(m, 2)
+    assert np.array_equal(np.sort(band.bf_len), np.sort(fine.bf_len))
+    assert band.num_triangles < fine.num_triangles
 
 
 def test_random_refinement_rounds_keep_invariants():

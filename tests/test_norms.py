@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxweight import methods, norms
-from fluxweight.mesh import (build_domain_mesh, build_graded_mesh,
-                             build_unit_square, uniform_refine)
+from fluxweight.mesh import (boundary_band, build_domain_mesh,
+                             build_graded_mesh, build_unit_square,
+                             uniform_refine)
 from fluxweight.norms import (BoundaryFunction, WaveletPyramid, dwt_step,
                               flux_error_function, sample_to_dyadic,
                               wavelet_norm, wavelet_norm_of_vector)
@@ -219,6 +220,17 @@ def test_neumann_dual_pairing_agrees(square8):
     e1, pairing = norms.neumann_dual_error(
         bf, uniform_refine(square8, 2), order=3, details=True)
     assert pairing == pytest.approx(e1, rel=0.01)
+
+
+def test_boundary_band_e1_matches_uniform_reference(square8):
+    # the lifting is harmonic: refining only the boundary band gives the
+    # E1 of the mesh bisected twice everywhere
+    sol = methods.solve_nitsche(problem_data("franke"), square8, k=1)
+    delta = flux_error_function(sol)
+    band = norms.neumann_dual_error(delta, boundary_band(square8), order=3)
+    full = norms.neumann_dual_error(delta, uniform_refine(square8, 2),
+                                    order=3)
+    assert band == pytest.approx(full, rel=1e-6)
 
 
 def test_compatibility_gate_fires(square8):
