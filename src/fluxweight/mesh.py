@@ -74,8 +74,12 @@ class Mesh:
         # local edge i is opposite local vertex i
         edges_all = np.concatenate(
             [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=0)
-        key = np.sort(edges_all, axis=1)
-        self.edges, inv = np.unique(key, axis=0, return_inverse=True)
+        # one int64 key per edge, lo*nv + hi, sorts as the (lo, hi) rows
+        nv = len(self.vertices)
+        key = (np.minimum(edges_all[:, 0], edges_all[:, 1]) * nv
+               + np.maximum(edges_all[:, 0], edges_all[:, 1]))
+        ukey, inv = np.unique(key, return_inverse=True)
+        self.edges = np.column_stack(np.divmod(ukey, nv))
         ne = len(self.edges)
         self.tri_edges = inv.reshape(3, nt).T.copy()
 
@@ -283,7 +287,7 @@ def refine(mesh, marked):
     removed by recursively bisecting neighbors across their refinement
     edges.  Children record the index of their pre-refinement ancestor.
     """
-    marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
         return mesh
     if marked.min(initial=0) < 0 or marked.max(initial=0) >= mesh.num_triangles:

@@ -46,8 +46,8 @@ class ProblemSpec:
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
     g: Optional[Callable] = None
-    # boundary data at dyadic quadrature points, filled and read by
-    # norms.sample_to_dyadic; it lives as long as this instance
+    # Gauss sums of the boundary data over dyadic cells, filled and read
+    # by norms.sample_to_dyadic; it lives as long as this instance
     dyadic_cache: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
 

@@ -8,11 +8,15 @@ and takes the weighted coefficient norm; the two are equivalent norms
 on the dual trace space.
 
 E2 of a flux error samples 2^M dyadic cells with the 3-point Gauss rule
-(exact to degree 5).  On the cells that lie inside one boundary facet
-it combines the solution's per-facet polynomial flux with the exact
-flux, a and g at the Gauss points.  Those are computed at the first E2
-of a problem instance and kept on it under (domain polygon, M), so the
-later steps of a study reuse them.  The cells that a facet end cuts are
+(exact to degree 5).  The first E2 of a problem instance caches, under
+(domain polygon, M), the Gauss sums over every cell of the exact flux
+and of g, and a as one number when it is the same everywhere (else at
+each Gauss point): two arrays of 2^M doubles for Franke's problem, one
+for a multiplier flux.  On the cells that lie inside one boundary
+facet, each step then turns the facet's Gauss-averaged discrete flux
+into one polynomial in the cell's index within the facet and expands
+it with one Horner pass, so that a step costs a handful of passes over
+the 2^M cells whatever the mesh.  The cells that a facet end cuts are
 integrated piece by piece with the same rule, as every cell of any
 other BoundaryFunction is.  M and the quadrature are those of the
 piecewise evaluation.
@@ -154,70 +158,134 @@ def _integrate_pieces(v, left, right, owner, out, gp, gw):
         np.add.at(out, on, acc * length)
 
 
-def _dyadic_boundary_data(problem, polygon, M, gp, with_data):
-    """Exact flux (and a, g when with_data) at the Gauss points gp of
-    every dyadic cell of level M on the polygon's boundary: a dict of
-    lists with one array of length 2^M per Gauss point.
+_CHUNK = 1 << 14
 
-    Kept in problem.dyadic_cache under (polygon, M) and computed once.
-    A cell that a corner cuts gets values from the side of each point;
+
+def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
+    """Gauss sums of the boundary data over every dyadic cell of level M
+    on the polygon's boundary, for the rule (gp, gw) on each cell.
+
+    "lam" holds sum_q w_q lam(x_q) of the exact flux, one entry per
+    cell.  When with_data, "g" holds sum_q w_q g(x_q), and "a" the value
+    of a if it is the same at every point, else an array of its values
+    of shape (len(gp), 2^M).  Kept in problem.dyadic_cache under
+    (polygon, M), computed once, in chunks of cells.  A cell that a
+    corner cuts gets values from the side of each point;
     sample_to_dyadic never reads them, since corners are facet ends.
     """
     key = (polygon.tobytes(), M)
     data = problem.dyadic_cache.setdefault(key, {})
-    if "lam" in data and ("a" in data or not with_data):
+    need_lam = "lam" not in data
+    need_data = with_data and "a" not in data
+    if not (need_lam or need_data):
         return data
     side_vec = np.roll(polygon, -1, axis=0) - polygon
     side_len = np.hypot(*side_vec.T)
     cum = np.concatenate([[0.0], np.cumsum(side_len)])
     n = 1 << M
     total = cum[-1]
-    starts = total * np.arange(n) / n
-    fields = {}
-    for q in range(len(gp)):
-        s = starts + (total / n) * gp[q]
-        side = np.minimum(np.searchsorted(cum, s, side="right") - 1,
-                          len(polygon) - 1)
-        t = (s - cum[side]) / side_len[side]
-        x = polygon[side, 0] + t * side_vec[side, 0]
-        y = polygon[side, 1] + t * side_vec[side, 1]
-        if "lam" not in data:
-            nx = side_vec[side, 1] / side_len[side]
-            ny = -side_vec[side, 0] / side_len[side]
-            fields.setdefault("lam", []).append(
-                problem.exact_flux(x, y, nx, ny))
-        if with_data:
-            fields.setdefault("a", []).append(
-                np.broadcast_to(problem.a(x, y), x.shape))
-            fields.setdefault("g", []).append(
-                np.broadcast_to(problem.g(x, y), x.shape))
-    data.update(fields)
+    lam = np.zeros(n) if need_lam else None
+    g = np.zeros(n) if need_data else None
+    a0 = a_pts = None
+    for lo in range(0, n, _CHUNK):
+        starts = total * np.arange(lo, min(lo + _CHUNK, n)) / n
+        cells = slice(lo, lo + len(starts))
+        for q in range(len(gp)):
+            s = starts + (total / n) * gp[q]
+            side = np.minimum(np.searchsorted(cum, s, side="right") - 1,
+                              len(polygon) - 1)
+            t = (s - cum[side]) / side_len[side]
+            x = polygon[side, 0] + t * side_vec[side, 0]
+            y = polygon[side, 1] + t * side_vec[side, 1]
+            if need_lam:
+                nx = side_vec[side, 1] / side_len[side]
+                ny = -side_vec[side, 0] / side_len[side]
+                lam[cells] += gw[q] * problem.exact_flux(x, y, nx, ny)
+            if need_data:
+                g[cells] += gw[q] * problem.g(x, y)
+                av = np.broadcast_to(problem.a(x, y), x.shape)
+                if a0 is None:
+                    a0 = float(av[0])
+                if a_pts is None and (av != a0).any():
+                    a_pts = np.full((len(gp), n), a0)
+                if a_pts is not None:
+                    a_pts[q, cells] = av
+    if need_lam:
+        data["lam"] = lam
+    if need_data:
+        data["g"] = g
+        data["a"] = a0 if a_pts is None else a_pts
     return data
+
+
+def _local_index_poly(coef, t0, beta):
+    """Rows of monomial coefficients in t (lowest degree first),
+    rewritten in j where t = t0 + beta*j (t0, beta one per row)."""
+    out = np.empty_like(coef)
+    deg = coef.shape[1] - 1
+    for i in range(deg + 1):
+        # Taylor shift: sum over m >= i of C(m, i) c_m t0^(m - i)
+        acc = math.comb(deg, i) * coef[:, deg]
+        for m in range(deg - 1, i - 1, -1):
+            acc = acc * t0 + math.comb(m, i) * coef[:, m]
+        out[:, i] = acc * beta ** i
+    return out
+
+
+def _expand(coef, count, j):
+    """Per-row polynomials in the local index, evaluated at every cell:
+    row f serves the next count[f] cells, whose local indices are j."""
+    out = np.repeat(coef[:, -1], count)
+    for m in range(coef.shape[1] - 2, -1, -1):
+        out *= j
+        out += np.repeat(coef[:, m], count)
+    return out
 
 
 def _flux_error_cells(solution, starts, M, gp, gw):
     """Integral of the flux error over every dyadic cell of level M
-    (cell starts `starts`), valid where the cell lies inside one facet."""
+    (cell starts `starts`), valid where the cell lies inside one facet.
+
+    On facet f, the Gauss point q of the j-th cell from the facet's
+    first one sits at t = t0_fq + beta_f j, so the Gauss-weighted sum
+    of a per-facet polynomial is one polynomial in j per facet.  The
+    cached sums of the exact flux and g complete the cell integral; a
+    only enters per point where it varies.
+    """
     mesh = solution.mesh
     flux = solution.flux
-    data = _dyadic_boundary_data(solution.problem, mesh.polygon, M, gp,
+    data = _dyadic_boundary_data(solution.problem, mesh.polygon, M, gp, gw,
                                  with_data=flux.d is not None)
     n = len(starts)
     width = mesh.perimeter / n
     # the facet of each cell's midpoint; cells and facets are both sorted
     first = np.searchsorted(starts + 0.5 * width, mesh.bf_s0)
-    facet = np.repeat(np.arange(len(first)), np.diff(np.append(first, n)))
-    rows = flux.at(facet)
-    s0, length = mesh.bf_s0[facet], mesh.bf_len[facet]
-    acc = np.zeros(n)
-    for q in range(len(gp)):
-        t = (starts + gp[q] * width - s0) / length
-        if rows.d is None:
-            lam_h = rows.combine(t)
-        else:
-            lam_h = rows.combine(t, data["a"][q], data["g"][q])
-        acc += gw[q] * (data["lam"][q] - lam_h)
-    return acc * width
+    count = np.diff(np.append(first, n))
+    j = np.arange(n, dtype=float)
+    j -= np.repeat(first, count)
+    beta = width / mesh.bf_len
+    t0 = [((first + p) * width - mesh.bf_s0) / mesh.bf_len for p in gp]
+    a = data.get("a")
+    per_point = flux.d is not None and isinstance(a, np.ndarray)
+    if flux.d is None or per_point:
+        poly = flux.q
+    else:
+        poly = a * flux.d + flux.q
+    coef = sum(w * _local_index_poly(poly, t, beta) for w, t in zip(gw, t0))
+    acc = _expand(coef, count, j)
+    np.subtract(data["lam"], acc, out=acc)
+    if flux.d is not None:
+        cg = np.repeat(flux.c, count)
+        cg *= data["g"]
+        acc -= cg
+    if per_point:
+        for q in range(len(gp)):
+            d = _expand(_local_index_poly(flux.d, t0[q], beta), count, j)
+            d *= a[q]
+            d *= gw[q]
+            acc -= d
+    acc *= width
+    return acc
 
 
 def sample_to_dyadic(v, M):
@@ -227,9 +295,9 @@ def sample_to_dyadic(v, M):
     dyadic cell, counterclockwise from the anchor.  Integration cells
     are split at the facet endpoints so piecewise-polynomial traces are
     integrated exactly.  For a FluxError, the cells that lie inside one
-    facet are integrated from its solution's BoundaryFlux and cached
-    boundary data at the same Gauss points; only the cut cells go
-    through `evaluate`.
+    facet are integrated from its solution's BoundaryFlux and the cached
+    Gauss sums of the boundary data over each cell; only the cut cells
+    go through `evaluate`.
     """
     if M < 3:
         raise ValueError("dyadic level must be at least 3")
@@ -247,7 +315,8 @@ def sample_to_dyadic(v, M):
         out = np.zeros(n)
         left, right, owner = _split_pieces(starts, total, v.breakpoints)
     _integrate_pieces(v, left, right, owner, out, gp, gw)
-    return (2.0 ** (M / 2.0) / total) * out
+    out *= 2.0 ** (M / 2.0) / total
+    return out
 
 
 def dwt_step(v):
@@ -263,12 +332,16 @@ def dwt_step(v):
     n = len(v)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError("input length must be a power of two >= 2")
-    # cyclic padding: padded[l + 2i] == v[(2i + l) % n]
-    padded = np.resize(v, n + len(LOW_PASS))
-    vj = np.zeros(n // 2)
+    # de-interleaved cyclic padding: even[m + i] == v[(2i + 2m) % n] and
+    # odd[m + i] == v[(2i + 2m + 1) % n], so tap l reads a contiguous slice
+    h = n // 2
+    pad = (0, len(LOW_PASS) // 2)
+    even = np.pad(v[0::2], pad, mode="wrap")
+    odd = np.pad(v[1::2], pad, mode="wrap")
+    vj = np.zeros(h)
     for l, hl in enumerate(LOW_PASS):
-        vj += hl * padded[l:l + n:2]
-    dj = (math.sqrt(2.0) / 2.0) * (v[0::2] - v[1::2])
+        vj += hl * (odd if l % 2 else even)[l // 2:l // 2 + h]
+    dj = (math.sqrt(2.0) / 2.0) * (even[:h] - odd[:h])
     return vj, dj
 
 

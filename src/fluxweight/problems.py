@@ -23,34 +23,29 @@ _FRANKE_TERMS = (
 )
 
 
-def _franke_parts(x, y):
-    """Values, gradients and Laplacians of the four Franke terms."""
-    val = np.zeros_like(np.asarray(x, dtype=float))
-    gx = np.zeros_like(val)
-    gy = np.zeros_like(val)
-    lap = np.zeros_like(val)
+def _franke_terms(x, y, derivatives=True):
+    """Per Franke term: A*exp(p) and, with `derivatives`, the first and
+    second derivatives (px, py, pxx, pyy) of its exponent p."""
     for kind, A, cx, sx, dx, cy, sy, dy in _FRANKE_TERMS:
         tx = cx * x + sx
+        ty = cy * y + sy
         if kind == "sq":
-            ty = cy * y + sy
             p = -(tx * tx) / dx - (ty * ty) / dy
-            px = -2.0 * cx * tx / dx
-            py = -2.0 * cy * ty / dy
-            pxx = -2.0 * cx * cx / dx
-            pyy = -2.0 * cy * cy / dy
         else:  # squared in x, linear in y
-            ty = cy * y + sy
             p = -(tx * tx) / dx - ty / dy
-            px = -2.0 * cx * tx / dx
-            py = -cy / dy
-            pxx = -2.0 * cx * cx / dx
-            pyy = 0.0
         e = A * np.exp(p)
-        val += e
-        gx += e * px
-        gy += e * py
-        lap += e * (pxx + pyy + px * px + py * py)
-    return val, gx, gy, lap
+        if not derivatives:
+            yield e, None
+            continue
+        px = -2.0 * cx * tx / dx
+        pxx = -2.0 * cx * cx / dx
+        if kind == "sq":
+            py = -2.0 * cy * ty / dy
+            pyy = -2.0 * cy * cy / dy
+        else:
+            py = -cy / dy
+            pyy = 0.0
+        yield e, (px, py, pxx, pyy)
 
 
 def _gauss_peak(x, y):
@@ -75,15 +70,26 @@ def _zeros2(x, y):
 
 
 def _franke():
+    # each callable sums only the part it returns
     def u(x, y):
-        return _franke_parts(x, y)[0]
+        val = np.zeros_like(np.asarray(x, dtype=float))
+        for e, _ in _franke_terms(x, y, derivatives=False):
+            val += e
+        return val
 
     def grad_u(x, y):
-        _, gx, gy, _ = _franke_parts(x, y)
+        gx = np.zeros_like(np.asarray(x, dtype=float))
+        gy = np.zeros_like(gx)
+        for e, (px, py, _, _) in _franke_terms(x, y):
+            gx += e * px
+            gy += e * py
         return np.stack([gx, gy], axis=-1)
 
     def f(x, y):
-        return -_franke_parts(x, y)[3]
+        lap = np.zeros_like(np.asarray(x, dtype=float))
+        for e, (px, py, pxx, pyy) in _franke_terms(x, y):
+            lap += e * (pxx + pyy + px * px + py * py)
+        return -lap
 
     return ProblemSpec("franke", "unit-square", _ones, _zeros2, f,
                        u=u, grad_u=grad_u)

@@ -72,6 +72,21 @@ def test_budget_respected_and_single_step():
         driver.amr_loop(AmrConfig(problem="franke", budget=25))
 
 
+def test_amr_last_row_seconds_include_final_e1(monkeypatch):
+    import time
+
+    def slow_e1(delta, config, mesh):
+        time.sleep(0.2)
+        return 0.0
+
+    monkeypatch.setattr(driver, "_e1_of", slow_e1)
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1, budget=100,
+                    wavelet_level=10)
+    rec, _ = driver.amr_loop(cfg)
+    assert rec.E1[-1] == 0.0
+    assert rec.seconds[-1] >= 0.2
+
+
 def test_amr_records_monotone_N():
     cfg = AmrConfig(problem="franke", method="nitsche", k=1, budget=400,
                     wavelet_level=10)

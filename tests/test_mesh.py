@@ -107,6 +107,26 @@ def test_boundary_band_facets_match_uniform(make):
     assert band.num_triangles < fine.num_triangles
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_unit_square(4), lambda: build_lshape(3), _corner_amr_mesh,
+    lambda: boundary_band(_corner_amr_mesh())],
+    ids=["square4", "lshape3", "square-amr", "band"])
+def test_topology_matches_row_unique_reference(make):
+    m = make()
+    nt = m.num_triangles
+    tri = m.triangles
+    local = np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]])
+    edges, inv = np.unique(np.sort(local, axis=1), axis=0,
+                           return_inverse=True)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.tri_edges, inv.reshape(3, nt).T)
+    edge_tris = np.full((len(edges), 2), -1)
+    for t in range(nt):
+        for e in inv.reshape(3, nt)[:, t]:
+            edge_tris[e, int(edge_tris[e, 0] >= 0)] = t
+    assert np.array_equal(m.edge_tris, edge_tris)
+
+
 def test_random_refinement_rounds_keep_invariants():
     rng = np.random.default_rng(3)
     m = build_unit_square(2)

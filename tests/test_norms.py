@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,9 +277,12 @@ def _flux_cases():
     # facet ends cut cells of this mesh (counted in the next test)
     graded = build_graded_mesh("unit-square", 0.125, initial_n=3)
     lshape = problem_data("lshape-singular")
+    franke = problem_data("franke")
     return {
         "nitsche-k1": lambda: methods.solve_nitsche(gentle, square, k=1),
         "nitsche-k2": lambda: methods.solve_nitsche(gentle, square, k=2),
+        "franke-nitsche-k2": lambda: methods.solve_nitsche(
+            franke, square, k=2),
         "multiplier-k2-k0": lambda: methods.solve_lagrange(
             gentle, square, k=2, kprime=0),
         "multiplier-k2-k2-continuous": lambda: methods.solve_lagrange(
@@ -295,7 +299,8 @@ def _flux_cases():
 @pytest.mark.parametrize("case", sorted(_flux_cases()))
 def test_flux_error_sampling_matches_piecewise(case):
     # the cached whole-cell sums agree with integrating every cell piece
-    # by piece through evaluate
+    # by piece through evaluate: a varies in the gentle problem and is
+    # constant in Franke's (k=2) and the L-shape's (k=1)
     M = 12
     sol = _flux_cases()[case]()
     delta = flux_error_function(sol)
@@ -351,3 +356,21 @@ def test_multiplier_flux_caches_only_the_exact_flux(square4):
     sample_to_dyadic(flux_error_function(sol), 8)
     assert set(problem.dyadic_cache[(square4.polygon.tobytes(), 8)]) \
         == {"lam"}
+
+
+def test_franke_nitsche_cache_is_lean(square4):
+    # per-cell Gauss sums of the exact flux and g, and a as one number:
+    # two arrays of 2^17 doubles (2.1 MB)
+    M = 17
+    problem = problem_data("franke")
+    delta = flux_error_function(methods.solve_nitsche(problem, square4, k=1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_to_dyadic(delta, M)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert set(problem.dyadic_cache[(square4.polygon.tobytes(), M)]) \
+        == {"lam", "a", "g"}
+    assert held <= 2.5e6

@@ -77,3 +77,45 @@ def test_exact_flux_one_sided_at_corner():
     nrm = m.bf_normal[f]
     lam = p.exact_flux(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
     assert np.isfinite(lam).all()
+
+
+def _franke_four_parts(x, y):
+    """Value, gradient and Laplacian of Franke's surface, all four parts
+    in one loop over its terms."""
+    from fluxweight.problems import _FRANKE_TERMS
+    val = np.zeros_like(np.asarray(x, dtype=float))
+    gx = np.zeros_like(val)
+    gy = np.zeros_like(val)
+    lap = np.zeros_like(val)
+    for kind, A, cx, sx, dx, cy, sy, dy in _FRANKE_TERMS:
+        tx = cx * x + sx
+        ty = cy * y + sy
+        if kind == "sq":
+            p = -(tx * tx) / dx - (ty * ty) / dy
+            px = -2.0 * cx * tx / dx
+            py = -2.0 * cy * ty / dy
+            pxx = -2.0 * cx * cx / dx
+            pyy = -2.0 * cy * cy / dy
+        else:
+            p = -(tx * tx) / dx - ty / dy
+            px = -2.0 * cx * tx / dx
+            py = -cy / dy
+            pxx = -2.0 * cx * cx / dx
+            pyy = 0.0
+        e = A * np.exp(p)
+        val += e
+        gx += e * px
+        gy += e * py
+        lap += e * (pxx + pyy + px * px + py * py)
+    return val, gx, gy, lap
+
+
+def test_franke_callables_equal_four_part_evaluation():
+    # u, grad_u and f each compute only what they return, bit for bit
+    p = problem_data("franke")
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-0.2, 1.2, (2, 1000))
+    val, gx, gy, lap = _franke_four_parts(x, y)
+    assert np.array_equal(p.u(x, y), val)
+    assert np.array_equal(p.grad_u(x, y), np.stack([gx, gy], axis=-1))
+    assert np.array_equal(p.f(x, y), -lap)
