@@ -52,7 +52,6 @@ class AmrConfig:
     theta: float = 0.5
     budget: int = 20000
     wavelet_level: int = 20
-    include_patch_terms: bool = True
     initial_n: int = 4
 
     def __post_init__(self):
@@ -186,8 +185,7 @@ def step(config, problem, mesh, e1=False):
     t0 = time.perf_counter()
     solution = _solve(config, problem, mesh)
     rho = compute_distance_field(mesh)
-    ind = est.build_indicators(solution, rho, config.weight_config(),
-                               include_patch_terms=config.include_patch_terms)
+    ind = est.build_indicators(solution, rho, config.weight_config())
     delta = norms.flux_error_function(solution)
     e2 = norms.wavelet_norm(delta, config.wavelet_level)
     energy = np.nan

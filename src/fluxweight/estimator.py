@@ -4,7 +4,14 @@ assembled flux-error estimators.
 The dual weight of an element shrinks like (h_T / rho_T)^k with the
 distance rho_T of its vertex patch to the boundary, so bulk residuals
 are progressively discounted while boundary residuals keep full weight.
-The classical unweighted estimator is kept as a comparison baseline.
+The classical unweighted estimator is kept as a comparison baseline;
+both are one sum of volume, interior-facet and boundary loads, the
+classical one with unit weights.
+
+Every boundary term reads u_h from its per-facet monomial trace
+(DiscreteSolution.trace): u_h, its tangential derivative and
+a dn(u_h) on a facet rule are one product of the trace rows with the
+rule's monomials, as is a multiplier flux.
 """
 
 from dataclasses import dataclass
@@ -85,7 +92,7 @@ def compute_residuals(solution, degree=None):
     r1T = _volume_residual(solution, degree)
     r0F = _flux_jumps(solution, degree)
     r1F, r2F, r3F = _boundary_residuals(solution, degree)
-    patch_sq = _patch_terms(solution, degree)
+    patch_sq = _patch_residuals(solution, degree)
     return Residuals(r1T, mesh.interior_edges, r0F, r1F, r2F, r3F, patch_sq)
 
 
@@ -158,44 +165,45 @@ def _flux_jumps(solution, degree):
     return np.sqrt(L) * np.sqrt(norm_sq)
 
 
+def _on_rule(rows, t):
+    """Rows of monomial coefficients in t (lowest degree first) at the
+    points t, shape (rows, len(t))."""
+    return rows @ np.vander(t, rows.shape[1], increasing=True).T
+
+
 def _boundary_residuals(solution, degree):
+    """r1F, r2F and r3F per boundary facet; u_h, its tangential
+    derivative and a dn(u_h) come from the facet trace of u_h."""
     mesh = solution.mesh
     problem = solution.problem
     nbf = mesh.num_boundary_facets
     t, w = segment_rule(degree)
-    nq = len(t)
-    facets = np.arange(nbf)
-    frep = np.repeat(facets, nq)
+    frep = np.repeat(np.arange(nbf), len(t))
     trep = np.tile(t, nbf)
     L = mesh.bf_len
+    u, dn = solution.trace
 
-    uv = solution.trace_values(frep, trep)
-    pts = mesh.boundary_points(frep, trep)
-    gv = problem.g(pts[:, 0], pts[:, 1])
-    diff = (uv - gv).reshape(nbf, nq)
-    l2_sq = np.einsum("nq,nq,q->n", diff, diff, w) * L
-    r3F = np.sqrt(l2_sq / L)
+    x, y = mesh.boundary_points(frep, trep).T
+    diff = _on_rule(u, t) - problem.g(x, y).reshape(nbf, -1)
+    # ||v||_F^2 = L * sum_q w_q v_q^2: h^-1/2 ||.||_F drops the facet
+    # length and h^1/2 ||.||_F gains one
+    r3F = np.sqrt(np.einsum("nq,nq,q->n", diff, diff, w))
 
-    dgt = problem.g_tangential(mesh)(frep, trep)
-    _, grads, dofs = fem.facet_point_basis(solution.space, frep, trep,
-                                           gradients=True)
-    gu = np.einsum("nj,nja->na", solution.coeffs[dofs], grads)
-    tang = mesh.bf_tangent[frep]
-    dut = gu[:, 0] * tang[:, 0] + gu[:, 1] * tang[:, 1]
-    tdiff = (dgt - dut).reshape(nbf, nq)
-    r2F = np.sqrt(L) * np.sqrt(np.einsum("nq,nq,q->n", tdiff, tdiff, w) * L)
+    dgt = problem.g_tangential(mesh)(frep, trep).reshape(nbf, -1)
+    du = u[:, 1:] * np.arange(1, u.shape[1])
+    tdiff = dgt - _on_rule(du, t) / L[:, None]
+    r2F = L * np.sqrt(np.einsum("nq,nq,q->n", tdiff, tdiff, w))
 
     if solution.method == NITSCHE:
         r1F = solution.gamma * r3F
     else:
-        lam = solution.flux_values(frep, trep)
-        anu = solution.trace_normal_flux(frep, trep)
-        mis = (lam - anu).reshape(nbf, nq)
-        r1F = np.sqrt(L) * np.sqrt(np.einsum("nq,nq,q->n", mis, mis, w) * L)
+        anu = problem.a(x, y).reshape(nbf, -1) * _on_rule(dn, t)
+        mis = _on_rule(solution.flux.q, t) - anu
+        r1F = L * np.sqrt(np.einsum("nq,nq,q->n", mis, mis, w))
     return r1F, r2F, r3F
 
 
-def _patch_terms(solution, degree):
+def _patch_residuals(solution, degree):
     """r(F,P)^2 for both vertices of every boundary facet.
 
     For each boundary vertex P the data g is L2-projected onto the
@@ -215,7 +223,7 @@ def _patch_terms(solution, degree):
     pts = mesh.boundary_points(frep, trep)
     gv = problem.g(pts[:, 0], pts[:, 1]).reshape(nbf, nq)
     dgt = problem.g_tangential(mesh)(frep, trep).reshape(nbf, nq)
-    uv = solution.trace_values(frep, trep).reshape(nbf, nq)
+    uv = _on_rule(solution.trace[0], t)
 
     phi = np.stack([1.0 - t, t], axis=1)                    # (nq, 2)
     Mloc = np.einsum("qi,qj,q->ij", phi, phi, w)[None] * L[:, None, None]
@@ -250,61 +258,57 @@ def _patch_terms(solution, degree):
     return patch_sq
 
 
-def assemble_eta(residuals, sigma_T, mesh, method, gamma=None, alpha=None,
-                 include_patch_terms=True):
-    """Distance-weighted estimator: per-element eta_T and global eta.
+def _eta_sum(r, sigma_T, mesh, bload):
+    """eta_T and eta from the weighted volume and interior-facet terms
+    and the boundary load of each facet; also returns sigma_F.
 
     Interior facet terms enter both incident elements; the global value
-    is sqrt(sum eta_T^2) with that convention.  The boundary load is
-    method specific: r1^2 + r2^2 for the multiplier method,
-    (1+gamma^2) r3^2 plus patch terms for Nitsche, (1+alpha^2) r1^2 plus
-    patch terms for the stabilized multiplier method.  Patch terms are
-    attributed half-and-half to the two facets of each vertex patch.
+    is sqrt(sum eta_T^2) with that convention.
     """
-    r = residuals
     eta_sq = (sigma_T * r.r1T) ** 2
-
-    edges = r.interior_edges
-    tris = mesh.edge_tris[edges]
+    tris = mesh.edge_tris[r.interior_edges]
     sigma_F = weight_facet(sigma_T[tris[:, 0]], sigma_T[tris[:, 1]])
     contrib = (sigma_F * r.r0F) ** 2
     np.add.at(eta_sq, tris[:, 0], contrib)
     np.add.at(eta_sq, tris[:, 1], contrib)
-
-    bload = _boundary_load(r, mesh, method, gamma, alpha,
-                           include_patch_terms)
     np.add.at(eta_sq, mesh.bf_tri, bload)
     eta_T = np.sqrt(eta_sq)
     return eta_T, float(np.sqrt(eta_sq.sum())), sigma_F
 
 
-def _boundary_load(r, mesh, method, gamma, alpha, include_patch_terms):
+def assemble_eta(residuals, sigma_T, mesh, method, gamma=None, alpha=None):
+    """Distance-weighted estimator: per-element eta_T, global eta and
+    the facet weights sigma_F.
+
+    The boundary load is method specific: r1^2 + r2^2 for the
+    multiplier method, (1+gamma^2) r3^2 plus patch terms for Nitsche,
+    (1+alpha^2) r1^2 plus patch terms for the stabilized multiplier
+    method.  Patch terms are attributed half-and-half to the two facets
+    of each vertex patch.
+    """
+    r = residuals
     nbf = mesh.num_boundary_facets
-    if method == LAGRANGE:
-        return r.r1F ** 2 + r.r2F ** 2
     S_vertex = r.patch_sq[(np.arange(nbf) - 1) % nbf, 1] + r.patch_sq[:, 0]
     patch = 0.5 * (S_vertex + S_vertex[(np.arange(nbf) + 1) % nbf])
-    if not include_patch_terms:
-        patch = 0.0
-    if method == NITSCHE:
+    if method == LAGRANGE:
+        bload = r.r1F ** 2 + r.r2F ** 2
+    elif method == NITSCHE:
         if gamma is None:
             raise ValueError("gamma required for the Nitsche estimator")
-        return (1.0 + gamma ** 2) * r.r3F ** 2 + patch
-    if method == BARBOSA_HUGHES:
+        bload = (1.0 + gamma ** 2) * r.r3F ** 2 + patch
+    elif method == BARBOSA_HUGHES:
         if alpha is None:
             raise ValueError("alpha required for the stabilized estimator")
-        return (1.0 + alpha ** 2) * r.r1F ** 2 + patch
-    raise ValueError(f"unknown method {method!r}")
+        bload = (1.0 + alpha ** 2) * r.r1F ** 2 + patch
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _eta_sum(r, sigma_T, mesh, bload)
 
 
 def assemble_eta_classical(residuals, mesh, method, gamma=None):
-    """Unweighted residual estimator (energy-norm driven baseline)."""
+    """Unweighted residual estimator (energy-norm driven baseline): the
+    sum of assemble_eta with unit weights and its own boundary load."""
     r = residuals
-    eta_sq = r.r1T ** 2
-    tris = mesh.edge_tris[r.interior_edges]
-    contrib = r.r0F ** 2
-    np.add.at(eta_sq, tris[:, 0], contrib)
-    np.add.at(eta_sq, tris[:, 1], contrib)
     if method in (LAGRANGE, BARBOSA_HUGHES):
         bload = r.r1F ** 2 + r.r3F ** 2
     elif method == NITSCHE:
@@ -313,13 +317,11 @@ def assemble_eta_classical(residuals, mesh, method, gamma=None):
         bload = gamma ** 2 * r.r3F ** 2
     else:
         raise ValueError(f"unknown method {method!r}")
-    np.add.at(eta_sq, mesh.bf_tri, bload)
-    eta_T = np.sqrt(eta_sq)
-    return eta_T, float(np.sqrt(eta_sq.sum()))
+    eta_T, eta, _ = _eta_sum(r, np.ones(mesh.num_triangles), mesh, bload)
+    return eta_T, eta
 
 
-def build_indicators(solution, rho, config, include_patch_terms=True,
-                     degree=None):
+def build_indicators(solution, rho, config, degree=None):
     """Residuals, weights and both estimators in one pass; rho holds the
     patch distances rho_T of compute_distance_field."""
     mesh = solution.mesh
@@ -327,8 +329,7 @@ def build_indicators(solution, rho, config, include_patch_terms=True,
     sigma_T = weight_element(mesh.h_T, rho, config)
     eta_T, eta, sigma_F = assemble_eta(
         res, sigma_T, mesh, solution.method,
-        gamma=solution.gamma, alpha=solution.alpha,
-        include_patch_terms=include_patch_terms)
+        gamma=solution.gamma, alpha=solution.alpha)
     eta_T_c, eta_c = assemble_eta_classical(
         res, mesh, solution.method, gamma=solution.gamma)
     return IndicatorField(res, sigma_T, sigma_F, eta_T, eta, eta_T_c, eta_c)

@@ -29,7 +29,7 @@ _CONFIG_KEYS = {
     "continuous": "continuous", "gamma": "gamma", "alpha": "alpha",
     "sign": "sign", "estimator": "estimator", "C1": "c1", "C2": "c2",
     "theta": "theta", "budget": "budget", "M": "wavelet_level",
-    "patch_terms": "include_patch_terms", "initial_n": "initial_n",
+    "initial_n": "initial_n",
 }
 
 

@@ -112,7 +112,6 @@ class Mesh:
 
     def _build_boundary_chart(self):
         poly = self.polygon
-        npoly = len(poly)
         seg_len = np.hypot(*(np.roll(poly, -1, axis=0) - poly).T)
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         self.perimeter = cum[-1]
@@ -122,7 +121,7 @@ class Mesh:
         le = self.edge_local[be, 0]
         v0 = self.triangles[tri_of, (le + 1) % 3]
         v1 = self.triangles[tri_of, (le + 2) % 3]
-        s0 = self._chart_s(self.vertices[v0])
+        s0 = self._chart_s(self.vertices[v0], cum)
         order = np.argsort(s0, kind="stable")
 
         self.bf_edge = be[order]
@@ -136,18 +135,16 @@ class Mesh:
                 / self.bf_len[:, None])
         self.bf_tangent = tang
         self.bf_normal = np.column_stack([tang[:, 1], -tang[:, 0]])
-        self._poly_cum = cum
 
         onb = np.zeros(len(self.vertices), dtype=bool)
         onb[self.bf_v0] = True
         onb[self.bf_v1] = True
         self.vertex_on_boundary = onb
 
-    def _chart_s(self, pts):
-        """Arc length of boundary points, in [0, perimeter)."""
+    def _chart_s(self, pts, cum):
+        """Arc length of boundary points, in [0, perimeter); cum holds the
+        arc length at each polygon vertex and the perimeter last."""
         poly = self.polygon
-        cum = np.concatenate(
-            [[0.0], np.cumsum(np.hypot(*(np.roll(poly, -1, 0) - poly).T))])
         pts = np.atleast_2d(pts)
         s = np.full(len(pts), np.nan)
         dist = np.full(len(pts), np.inf)

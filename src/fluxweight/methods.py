@@ -5,7 +5,9 @@ approximation of the outward normal flux a*du/dn on the boundary) is
 either an explicit coefficient vector in a BoundarySpace (Lagrange
 multiplier and Barbosa-Hughes) or the Nitsche post-processing rule
 a*dn(u_h) + gamma/h_F * (g - u_h).  Both are held in one per-facet
-polynomial form, BoundaryFlux.
+polynomial form, BoundaryFlux.  Outside assembly, the boundary values of
+u_h are read from one per-facet monomial form too, DiscreteSolution.trace,
+which the Nitsche flux and every estimator boundary term share.
 
 Dirichlet data enters weakly everywhere: nothing is interpolated
 nodally.  The `sign` argument selects the symmetric (-1) or the
@@ -215,26 +217,11 @@ class DiscreteSolution:
             n += self.multiplier_space.ndof
         return n
 
-    def trace_values(self, facet_ids, t):
-        vals, _, dofs = fem.facet_point_basis(self.space, facet_ids, t)
-        return np.einsum("nj,nj->n", self.coeffs[dofs], vals)
-
-    def trace_normal_flux(self, facet_ids, t):
-        """a * dn(u_h) at facet parameters (one-sided, from the element)."""
-        _, grads, dofs = fem.facet_point_basis(
-            self.space, facet_ids, t, gradients=True)
-        gu = np.einsum("nj,nja->na", self.coeffs[dofs], grads)
-        nrm = self.mesh.bf_normal[facet_ids]
-        pts = self.mesh.boundary_points(facet_ids, t)
-        av = self.problem.a(pts[:, 0], pts[:, 1])
-        return av * (gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1])
-
     @cached_property
-    def flux(self):
-        """The discrete flux as a BoundaryFlux, built on first use."""
-        if self.method in (LAGRANGE, BARBOSA_HUGHES):
-            return BoundaryFlux(self.multiplier_space.monomial_coefficients(
-                self.multiplier))
+    def trace(self):
+        """(u, dn): monomial rows in t (lowest degree first) of u_h and of
+        dn(u_h) on every boundary facet, shape (facets, k + 1) each, from
+        the bulk basis at k + 1 equispaced nodes of each facet."""
         mesh = self.mesh
         k = self.space.order
         nbf = mesh.num_boundary_facets
@@ -248,10 +235,18 @@ class DiscreteSolution:
         gu = np.einsum("nj,nja->na", local, grads)
         nrm = mesh.bf_normal[frep]
         dn = (gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1]).reshape(nbf, k + 1)
-        c = self.gamma / mesh.bf_len
-        return BoundaryFlux(
-            -c[:, None] * fem.monomial_coefficients(u, nodes),
-            fem.monomial_coefficients(dn, nodes), c)
+        return (fem.monomial_coefficients(u, nodes),
+                fem.monomial_coefficients(dn, nodes))
+
+    @cached_property
+    def flux(self):
+        """The discrete flux as a BoundaryFlux, built on first use."""
+        if self.method in (LAGRANGE, BARBOSA_HUGHES):
+            return BoundaryFlux(self.multiplier_space.monomial_coefficients(
+                self.multiplier))
+        u, dn = self.trace
+        c = self.gamma / self.mesh.bf_len
+        return BoundaryFlux(-c[:, None] * u, dn, c)
 
     def flux_values(self, facet_ids, t):
         """The discrete flux lambda_h at facet parameters."""

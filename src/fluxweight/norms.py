@@ -121,24 +121,27 @@ def _split_pieces(starts, total, breakpoints):
     return left, right, owner
 
 
-def _cut_pieces(starts, total, breakpoints):
-    """The cells of `starts` that a breakpoint cuts, and their pieces.
+def _cut_pieces(total, n, breakpoints):
+    """The cells of the n equal cells of [0, total) that a breakpoint
+    cuts, and their pieces.
 
     Returns (cells, left, right, owner) with the pieces that
-    _split_pieces gives for those cells.
+    _split_pieces gives for those cells.  Cell k starts at k * width;
+    with total / n a power of two (perimeter 4 or 8, n = 2^M) every
+    product and quotient below is exact.
     """
+    width = total / n
     b = np.mod(breakpoints, total)
-    cell = np.searchsorted(starts, b, side="right") - 1
-    inner = b > starts[cell]
+    cell = np.floor(b / width)
+    inner = b > cell * width
     cells = np.unique(cell[inner])
-    ends = np.append(starts, total)[cells + 1]
-    edges = np.unique(np.concatenate([starts[cells], ends, b[inner]]))
+    edges = np.unique(np.concatenate(
+        [cells * width, (cells + 1) * width, b[inner]]))
     left, right = edges[:-1], edges[1:]
-    owner = np.searchsorted(starts, 0.5 * (left + right), side="right") - 1
-    is_cut = np.zeros(len(starts), dtype=bool)
-    is_cut[cells] = True
-    keep = is_cut[owner] & ((right - left) > 1e-14 * total)
-    return cells, left[keep], right[keep], owner[keep]
+    owner = np.floor(0.5 * (left + right) / width)
+    keep = np.isin(owner, cells) & ((right - left) > 1e-14 * total)
+    return (cells.astype(np.int64), left[keep], right[keep],
+            owner[keep].astype(np.int64))
 
 
 def _integrate_pieces(v, left, right, owner, out, gp, gw):
@@ -242,9 +245,16 @@ def _expand(coef, count, j):
     return out
 
 
-def _flux_error_cells(solution, starts, M, gp, gw):
-    """Integral of the flux error over every dyadic cell of level M
-    (cell starts `starts`), valid where the cell lies inside one facet.
+def _first_cells(mesh, n):
+    """The first of the n dyadic cells whose midpoint lies at or past
+    each facet start: the cells from there to the next facet's first
+    one have their midpoints on the facet.  Exact, as in _cut_pieces."""
+    return np.ceil(mesh.bf_s0 / (mesh.perimeter / n) - 0.5).astype(np.int64)
+
+
+def _flux_error_cells(solution, M, gp, gw):
+    """Integral of the flux error over every dyadic cell of level M,
+    valid where the cell lies inside one facet.
 
     On facet f, the Gauss point q of the j-th cell from the facet's
     first one sits at t = t0_fq + beta_f j, so the Gauss-weighted sum
@@ -256,10 +266,9 @@ def _flux_error_cells(solution, starts, M, gp, gw):
     flux = solution.flux
     data = _dyadic_boundary_data(solution.problem, mesh.polygon, M, gp, gw,
                                  with_data=flux.d is not None)
-    n = len(starts)
+    n = 1 << M
     width = mesh.perimeter / n
-    # the facet of each cell's midpoint; cells and facets are both sorted
-    first = np.searchsorted(starts + 0.5 * width, mesh.bf_s0)
+    first = _first_cells(mesh, n)
     count = np.diff(np.append(first, n))
     j = np.arange(n, dtype=float)
     j -= np.repeat(first, count)
@@ -305,15 +314,15 @@ def sample_to_dyadic(v, M):
         raise ValueError(f"dyadic level {M} exceeds {MAX_LEVEL}")
     total = v.mesh.perimeter
     n = 1 << M
-    starts = total * np.arange(n) / n
     gp, gw = segment_rule(5)
     if isinstance(v, FluxError):
-        out = _flux_error_cells(v.solution, starts, M, gp, gw)
-        cells, left, right, owner = _cut_pieces(starts, total, v.breakpoints)
+        out = _flux_error_cells(v.solution, M, gp, gw)
+        cells, left, right, owner = _cut_pieces(total, n, v.breakpoints)
         out[cells] = 0.0
     else:
         out = np.zeros(n)
-        left, right, owner = _split_pieces(starts, total, v.breakpoints)
+        left, right, owner = _split_pieces(total * np.arange(n) / n, total,
+                                           v.breakpoints)
     _integrate_pieces(v, left, right, owner, out, gp, gw)
     out *= 2.0 ** (M / 2.0) / total
     return out
@@ -393,7 +402,7 @@ def wavelet_norm(v, M=20):
     return wavelet_norm_of_vector(sample_to_dyadic(v, M))
 
 
-def neumann_dual_error(delta, fine_mesh, order, details=False):
+def neumann_dual_error(delta, fine_mesh, order):
     """E1: energy of the harmonic-type lifting of the boundary residual.
 
     Solves grad(w).grad(v) = <delta, v> on the fine mesh with elements
@@ -419,8 +428,6 @@ def neumann_dual_error(delta, fine_mesh, order, details=False):
         raise fem.SolverError(
             f"dual-solve consistency failure: energy {energy:.6e} vs "
             f"pairing {pairing:.6e}")
-    if details:
-        return e1, math.sqrt(max(pairing, 0.0))
     return e1
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluxweight import fem
 from fluxweight.mesh import Mesh, build_unit_square, refine
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
@@ -95,6 +96,18 @@ def assemble_grad_load(space, vec_field, degree=None):
     re = np.einsum("tqa,tqja,q,t->tj", fv, g, qw, det)
     np.add.at(r, space.tri_dofs, re)
     return r
+
+
+def bulk_trace(solution, facet_ids, t):
+    """u_h and dn(u_h) at facet parameters, from the bulk basis of the
+    solution's space (one-sided, from the facet's element)."""
+    vals, grads, dofs = fem.facet_point_basis(solution.space, facet_ids, t,
+                                              gradients=True)
+    co = solution.coeffs[dofs]
+    gu = np.einsum("nj,nja->na", co, grads)
+    nrm = solution.mesh.bf_normal[facet_ids]
+    return (np.einsum("nj,nj->n", co, vals),
+            gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1])
 
 
 def exact_flux_integral_defect(solution, degree=16):

@@ -6,8 +6,9 @@ from fluxweight.mesh import build_unit_square
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
-from conftest import (assemble_grad_load, exact_flux_integral_defect,
-                      interpolate, make_linear_problem)
+from conftest import (assemble_grad_load, bulk_trace, distorted_square4,
+                      exact_flux_integral_defect, interpolate,
+                      make_linear_problem)
 
 
 def exact_flux_on_facets(problem, mesh, t=0.5):
@@ -36,7 +37,7 @@ def test_lagrange_weak_data_residual(linear_problem, square4):
     trep = np.tile(t, len(facets))
     pts = square4.boundary_points(frep, trep)
     gv = linear_problem.g(pts[:, 0], pts[:, 1])
-    uv = sol.trace_values(frep, trep)
+    uv, _ = bulk_trace(sol, frep, trep)
     lenw = np.tile(w, len(facets)) * np.repeat(square4.bf_len, len(t))
     per_facet = ((gv - uv) * lenw).reshape(len(facets), len(t)).sum(axis=1)
     assert np.abs(per_facet).max() <= 1e-9
@@ -68,12 +69,30 @@ def test_nitsche_flux_matches_postprocessing_rule(k, gentle_problem,
     rng = np.random.default_rng(5)
     f = rng.integers(0, square8.num_boundary_facets, 200)
     t = rng.random(200)
-    pts = square8.boundary_points(f, t)
-    rule = (sol.trace_normal_flux(f, t) + 10.0 / square8.bf_len[f]
-            * (gentle_problem.g(pts[:, 0], pts[:, 1])
-               - sol.trace_values(f, t)))
+    x, y = square8.boundary_points(f, t).T
+    uv, dn = bulk_trace(sol, f, t)
+    rule = (gentle_problem.a(x, y) * dn + 10.0 / square8.bf_len[f]
+            * (gentle_problem.g(x, y) - uv))
     assert np.abs(sol.flux_values(f, t) - rule).max() \
         <= 1e-12 * np.abs(rule).max()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_trace_matches_bulk_basis(order, linear_problem):
+    # the per-facet monomial rows of u_h and dn(u_h) reproduce the bulk
+    # basis at random facet points of a distorted mesh
+    m = distorted_square4()
+    sp = fem.FeSpace(m, order)
+    co = np.random.default_rng(order).standard_normal(sp.ndof)
+    sol = methods.DiscreteSolution(methods.NITSCHE, linear_problem, sp, co,
+                                   gamma=10.0)
+    rng = np.random.default_rng(10 + order)
+    f = rng.integers(0, m.num_boundary_facets, 300)
+    t = rng.random(300)
+    powers = t[:, None] ** np.arange(order + 1)
+    for rows, expect in zip(sol.trace, bulk_trace(sol, f, t)):
+        got = (rows[f] * powers).sum(axis=1)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("kprime,continuous", [(0, False), (1, False),

@@ -217,10 +217,11 @@ def test_neumann_dual_pairing_agrees(square8):
         s = square8.bf_s0[f] + t * square8.bf_len[f]
         return np.sin(2 * np.pi * s / 4.0) + 0.2 * np.cos(4 * np.pi * s / 4.0)
 
+    # neumann_dual_error raises when the pairing <delta, w> and the
+    # energy |grad w|^2 differ by more than 1%
     bf = BoundaryFunction(square8, mode)
-    e1, pairing = norms.neumann_dual_error(
-        bf, uniform_refine(square8, 2), order=3, details=True)
-    assert pairing == pytest.approx(e1, rel=0.01)
+    e1 = norms.neumann_dual_error(bf, uniform_refine(square8, 2), order=3)
+    assert 0.0 < e1 < np.inf
 
 
 def test_boundary_band_e1_matches_uniform_reference(square8):
@@ -318,6 +319,31 @@ def test_flux_error_sampling_matches_piecewise(case):
         # in the boundary points moves E2 by 3e-10 relative
         e_slow = wavelet_norm_of_vector(slow)
         assert abs(wavelet_norm_of_vector(fast) - e_slow) <= 1e-10 * e_slow
+
+
+def test_dyadic_cells_by_arithmetic_match_search():
+    # each facet's first cell, and the cut cells with their pieces, come
+    # from arithmetic on the facet starts; they equal the searches over
+    # the 2^M cell starts and the pieces of the reference split
+    for case, solve in sorted(_flux_cases().items()):
+        mesh = solve().mesh
+        total = mesh.perimeter
+        for M in (3, 12, 17):
+            n = 1 << M
+            starts = total * np.arange(n) / n
+            first = np.searchsorted(starts + 0.5 * total / n, mesh.bf_s0)
+            assert np.array_equal(norms._first_cells(mesh, n), first)
+            cell = np.searchsorted(starts, mesh.bf_s0, side="right") - 1
+            cut = np.unique(cell[mesh.bf_s0 > starts[cell]])
+            cells, left, right, owner = norms._cut_pieces(total, n,
+                                                          mesh.bf_s0)
+            assert np.array_equal(cells, cut)
+            ref = norms._split_pieces(starts, total, mesh.bf_s0)
+            sel = np.isin(ref[2], cut)
+            for got, expect in zip((left, right, owner), ref):
+                assert np.array_equal(got, expect[sel])
+            if case.startswith("graded") and M > 3:
+                assert len(cut) > 0
 
 
 def test_second_e2_evaluates_exact_flux_on_cut_cells_only():
