@@ -11,7 +11,9 @@ classical one with unit weights.
 Every boundary term reads u_h from its per-facet monomial trace
 (DiscreteSolution.trace): u_h, its tangential derivative and
 a dn(u_h) on a facet rule are one product of the trace rows with the
-rule's monomials, as is a multiplier flux.
+rule's monomials, as is a multiplier flux.  The boundary residuals and
+the vertex-patch terms share one pass over the facet rule, which
+evaluates g and its tangential derivative once.
 """
 
 from dataclasses import dataclass
@@ -91,8 +93,7 @@ def compute_residuals(solution, degree=None):
 
     r1T = _volume_residual(solution, degree)
     r0F = _flux_jumps(solution, degree)
-    r1F, r2F, r3F = _boundary_residuals(solution, degree)
-    patch_sq = _patch_residuals(solution, degree)
+    r1F, r2F, r3F, patch_sq = _boundary_residuals(solution, degree)
     return Residuals(r1T, mesh.interior_edges, r0F, r1F, r2F, r3F, patch_sq)
 
 
@@ -139,14 +140,11 @@ def _flux_jumps(solution, degree):
     pts = P[:, None, :] + t[None, :, None] * (Q - P)[:, None, :]
     L = mesh.edge_length[edges]
     nrm = np.stack([(Q - P)[:, 1], -(Q - P)[:, 0]], axis=-1) / L[:, None]
-    ref_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tables = {}
-    for le in range(3):
-        A, B = ref_verts[(le + 1) % 3], ref_verts[(le + 2) % 3]
-        for forward in (True, False):
-            s = t if forward else 1.0 - t
-            tables[le, forward] = space.element.grad(
-                A + s[:, None] * (B - A))            # (nq, nd, 2)
+    for forward in (True, False):
+        ref = fem.reference_edge_points(t if forward else 1.0 - t)
+        for le, table in enumerate(space.element.grad(ref)):
+            tables[le, forward] = table              # (nq, nd, 2)
     jump = np.zeros((len(edges), len(t)))
     for side, sgn in ((0, 1.0), (1, -1.0)):
         tri = mesh.edge_tris[edges, side]
@@ -165,46 +163,10 @@ def _flux_jumps(solution, degree):
     return np.sqrt(L) * np.sqrt(norm_sq)
 
 
-def _on_rule(rows, t):
-    """Rows of monomial coefficients in t (lowest degree first) at the
-    points t, shape (rows, len(t))."""
-    return rows @ np.vander(t, rows.shape[1], increasing=True).T
-
-
 def _boundary_residuals(solution, degree):
-    """r1F, r2F and r3F per boundary facet; u_h, its tangential
-    derivative and a dn(u_h) come from the facet trace of u_h."""
-    mesh = solution.mesh
-    problem = solution.problem
-    nbf = mesh.num_boundary_facets
-    t, w = segment_rule(degree)
-    frep = np.repeat(np.arange(nbf), len(t))
-    trep = np.tile(t, nbf)
-    L = mesh.bf_len
-    u, dn = solution.trace
-
-    x, y = mesh.boundary_points(frep, trep).T
-    diff = _on_rule(u, t) - problem.g(x, y).reshape(nbf, -1)
-    # ||v||_F^2 = L * sum_q w_q v_q^2: h^-1/2 ||.||_F drops the facet
-    # length and h^1/2 ||.||_F gains one
-    r3F = np.sqrt(np.einsum("nq,nq,q->n", diff, diff, w))
-
-    dgt = problem.g_tangential(mesh)(frep, trep).reshape(nbf, -1)
-    du = u[:, 1:] * np.arange(1, u.shape[1])
-    tdiff = dgt - _on_rule(du, t) / L[:, None]
-    r2F = L * np.sqrt(np.einsum("nq,nq,q->n", tdiff, tdiff, w))
-
-    if solution.method == NITSCHE:
-        r1F = solution.gamma * r3F
-    else:
-        anu = problem.a(x, y).reshape(nbf, -1) * _on_rule(dn, t)
-        mis = _on_rule(solution.flux.q, t) - anu
-        r1F = L * np.sqrt(np.einsum("nq,nq,q->n", mis, mis, w))
-    return r1F, r2F, r3F
-
-
-def _patch_residuals(solution, degree):
-    """r(F,P)^2 for both vertices of every boundary facet.
+    """r1F, r2F, r3F and r(F,P)^2 for both vertices of every boundary
+    facet, with g, its tangential derivative and the trace of u_h
+    evaluated once on the facet rule.
 
     For each boundary vertex P the data g is L2-projected onto the
     continuous piecewise linears of its two-facet patch; the facet then
@@ -213,17 +175,29 @@ def _patch_residuals(solution, degree):
     mesh = solution.mesh
     problem = solution.problem
     nbf = mesh.num_boundary_facets
-    t, w = segment_rule(max(degree, 6))
-    nq = len(t)
-    facets = np.arange(nbf)
-    frep = np.repeat(facets, nq)
-    trep = np.tile(t, nbf)
+    t, w = segment_rule(degree)
     L = mesh.bf_len
+    u, dn = solution.trace
 
-    pts = mesh.boundary_points(frep, trep)
-    gv = problem.g(pts[:, 0], pts[:, 1]).reshape(nbf, nq)
-    dgt = problem.g_tangential(mesh)(frep, trep).reshape(nbf, nq)
-    uv = _on_rule(solution.trace[0], t)
+    x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
+    gv = problem.g(x, y)
+    dgt = problem.g_tangential(mesh, t)
+    uv = fem.monomial_values(u, t)
+    diff = uv - gv
+    # ||v||_F^2 = L * sum_q w_q v_q^2: h^-1/2 ||.||_F drops the facet
+    # length and h^1/2 ||.||_F gains one
+    r3F = np.sqrt(np.einsum("nq,nq,q->n", diff, diff, w))
+
+    du = u[:, 1:] * np.arange(1, u.shape[1])
+    tdiff = dgt - fem.monomial_values(du, t) / L[:, None]
+    r2F = L * np.sqrt(np.einsum("nq,nq,q->n", tdiff, tdiff, w))
+
+    if solution.method == NITSCHE:
+        r1F = solution.gamma * r3F
+    else:
+        anu = problem.a(x, y) * fem.monomial_values(dn, t)
+        mis = fem.monomial_values(solution.flux.q, t) - anu
+        r1F = L * np.sqrt(np.einsum("nq,nq,q->n", mis, mis, w))
 
     phi = np.stack([1.0 - t, t], axis=1)                    # (nq, 2)
     Mloc = np.einsum("qi,qj,q->ij", phi, phi, w)[None] * L[:, None, None]
@@ -231,31 +205,23 @@ def _patch_residuals(solution, degree):
 
     # vertex j of the boundary loop starts facet j; its patch is
     # (facet j-1, facet j)
-    prev = (facets - 1) % nbf
     M = np.zeros((nbf, 3, 3))
     b = np.zeros((nbf, 3))
-    M[:, :2, :2] += Mloc[prev]
-    M[:, 1:, 1:] += Mloc[facets]
-    b[:, :2] += bloc[prev]
-    b[:, 1:] += bloc[facets]
+    M[:, :2, :2] += np.roll(Mloc, 1, axis=0)
+    M[:, 1:, 1:] += Mloc
+    b[:, :2] += np.roll(bloc, 1, axis=0)
+    b[:, 1:] += bloc
     coeffs = np.linalg.solve(M, b[:, :, None])[:, :, 0]     # (nbv, 3)
-
-    patch_sq = np.empty((nbf, 2))
-    for slot in range(2):
-        if slot == 0:   # P = left vertex of F: F is the patch's second facet
-            ca = coeffs[facets, 1]
-            cb = coeffs[facets, 2]
-        else:           # P = right vertex of F: F is the patch's first facet
-            nxt = (facets + 1) % nbf
-            ca = coeffs[nxt, 0]
-            cb = coeffs[nxt, 1]
-        gh = ca[:, None] * (1.0 - t)[None, :] + cb[:, None] * t[None, :]
-        dgh = ((cb - ca) / L)[:, None]
-        # h^-1 * integral cancels one length factor; h * integral gains one
-        term0 = np.einsum("nq,q->n", (uv - gh) ** 2, w)
-        term1 = np.einsum("nq,q->n", (dgh - dgt) ** 2, w) * L * L
-        patch_sq[:, slot] = term0 + term1
-    return patch_sq
+    # end values of g_h^P on F, for P the left vertex of F (F is the
+    # patch's second facet) and for P its right vertex (the first facet)
+    ends = np.stack([coeffs[:, 1:], np.roll(coeffs, -1, axis=0)[:, :2]],
+                    axis=1)                                 # (nbf, 2, 2)
+    gh = ends @ phi.T
+    dgh = (ends[..., 1] - ends[..., 0]) / L[:, None]
+    # h^-1 * integral cancels one length factor; h * integral gains one
+    patch_sq = ((uv[:, None] - gh) ** 2 @ w
+                + (dgh[..., None] - dgt[:, None]) ** 2 @ w * (L * L)[:, None])
+    return r1F, r2F, r3F, patch_sq
 
 
 def _eta_sum(r, sigma_T, mesh, bload):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import driver, norms
-from .driver import AmrConfig, ConvergenceRecord
+from .driver import AmrConfig
 from .estimator import dump_indicators
 from .mesh import dump_mesh
 from .svgplot import LogLogPlot

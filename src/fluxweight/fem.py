@@ -15,6 +15,9 @@ the element matrices of a block are one matrix product of the per-triangle
 metric det J^-1 J^-T (times a(x_q) w_q) with S.  Gradients of a discrete
 function contract its coefficients with the reference gradients first and
 apply J^-T after.
+
+Boundary integrals work on arrays of shape (facets, rule points), with
+the reference basis tabulated once per local edge (facet_basis).
 """
 
 import logging
@@ -108,28 +111,44 @@ def contract(co, table):
     return (co @ flat).reshape(len(co), nq, c)
 
 
-def facet_point_basis(space, facet_ids, t, gradients=False):
-    """Trace of the bulk basis at per-point facet parameters.
+def reference_edge_points(t):
+    """Points at the parameters t on the local edges of the reference
+    triangle, shape (3, len(t), 2); edge i runs counterclockwise, from
+    vertex i+1 to vertex i+2."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    A, B = verts[[1, 2, 0]], verts[[2, 0, 1]]
+    t = np.asarray(t, dtype=float)
+    return A[:, None] + t[:, None] * (B - A)[:, None]
 
-    facet_ids and t are arrays of equal length n; returns
-    (values (n, nd), grads (n, nd, 2) or None, dofs (n, nd)).
-    The parameter runs counterclockwise along the boundary.
+
+def facet_basis(space, t, gradients=False):
+    """Trace of the bulk basis on every boundary facet at the parameters
+    t, which run counterclockwise along the boundary.
+
+    Returns (values (facets, len(t), nd), physical gradients
+    (facets, len(t), nd, 2) or None, dofs (facets, nd)).  The reference
+    basis is tabulated once per local edge, and each facet selects the
+    table of its local edge.
     """
     mesh = space.mesh
-    tri = mesh.bf_tri[facet_ids]
-    le = mesh.bf_local[facet_ids]
-    ref_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    A = ref_verts[(le + 1) % 3]
-    B = ref_verts[(le + 2) % 3]
-    pts = A + np.asarray(t, dtype=float)[:, None] * (B - A)
-    vals = space.element.eval(pts)
-    dofs = space.tri_dofs[tri]
+    ref = reference_edge_points(t)
+    vals = space.element.eval(ref)[mesh.bf_local]
     grads = None
     if gradients:
-        g = space.element.grad(pts)  # (n, nd, 2)
-        _, invJT, _ = mesh.jacobians(tri)
-        grads = np.einsum("nab,njb->nja", invJT, g)
-    return vals, grads, dofs
+        g = space.element.grad(ref)[mesh.bf_local]
+        _, invJT, _ = mesh.jacobians(mesh.bf_tri)
+        grads = np.einsum("fab,fqjb->fqja", invJT, g)
+    return vals, grads, space.tri_dofs[mesh.bf_tri]
+
+
+def facet_vector(n, dofs, vals, weight):
+    """Vector of length n that gathers, per boundary facet f, the rule
+    sums sum_q weight[f, q] vals[f, q, i] at dofs[f, i].  vals is
+    (facets, nq, nd), or one (nq, nd) table shared by every facet."""
+    vals = np.broadcast_to(vals, weight.shape + vals.shape[-1:])
+    out = np.zeros(n)
+    np.add.at(out, dofs, np.einsum("fqj,fq->fj", vals, weight))
+    return out
 
 
 def monomial_coefficients(values, nodes):
@@ -137,6 +156,12 @@ def monomial_coefficients(values, nodes):
     polynomials that take the rows of `values` at `nodes`."""
     vander = np.vander(nodes, len(nodes), increasing=True)
     return values @ np.linalg.inv(vander).T
+
+
+def monomial_values(rows, t):
+    """Rows of monomial coefficients in t (lowest degree first) at the
+    points t, shape (rows, len(t))."""
+    return rows @ np.vander(t, rows.shape[1], increasing=True).T
 
 
 class BoundarySpace:
@@ -184,11 +209,6 @@ class BoundarySpace:
                 if m != j:
                     out[..., j] *= (t - xm) / (xj - xm)
         return out
-
-    def values(self, coeffs, facet_ids, t):
-        """Evaluate a multiplier function at per-point facet parameters."""
-        basis = self.eval(t)
-        return np.einsum("nj,nj->n", coeffs[self.facet_dofs[facet_ids]], basis)
 
     def monomial_coefficients(self, coeffs):
         """Per-facet monomial coefficients in t of a multiplier function,
@@ -289,15 +309,10 @@ def boundary_integral_vector(space, degree=None):
     """Vector c_i = integral of phi_i over the boundary."""
     if degree is None:
         degree = 2 * space.order + 4
-    mesh = space.mesh
-    facets = np.arange(mesh.num_boundary_facets)
     t, w = segment_rule(degree)
-    frep = np.repeat(facets, len(t))
-    vals, _, dofs = facet_point_basis(space, frep, np.tile(t, len(facets)))
-    wts = np.tile(w, len(facets)) * np.repeat(mesh.bf_len[facets], len(t))
-    c = np.zeros(space.ndof)
-    np.add.at(c, dofs, vals * wts[:, None])
-    return c
+    vals, _, dofs = facet_basis(space, t)
+    return facet_vector(space.ndof, dofs, vals,
+                        w * space.mesh.bf_len[:, None])
 
 
 def solve(system, constraint=None):

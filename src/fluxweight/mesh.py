@@ -180,7 +180,13 @@ class Mesh:
         p0 = self.vertices[self.bf_v0[facet_ids]]
         p1 = self.vertices[self.bf_v1[facet_ids]]
         t = np.asarray(t, dtype=float)
-        return p0 + t[:, None] * (p1 - p0)
+        return p0 + t[..., None] * (p1 - p0)
+
+    def facet_points(self, t):
+        """Physical points at the parameters t on every boundary facet,
+        shape (facets, len(t), 2)."""
+        return self.boundary_points(
+            np.arange(self.num_boundary_facets)[:, None], t)
 
     def facet_of_s(self, s):
         """Boundary facet ids containing arc lengths s (wrapped)."""

@@ -9,6 +9,10 @@ polynomial form, BoundaryFlux.  Outside assembly, the boundary values of
 u_h are read from one per-facet monomial form too, DiscreteSolution.trace,
 which the Nitsche flux and every estimator boundary term share.
 
+Every boundary term is integrated on arrays of shape (facets, rule
+points) and assembled from one local matrix per facet.  The Lagrange
+multiplier method is the alpha = 0 case of the Barbosa-Hughes solve.
+
 Dirichlet data enters weakly everywhere: nothing is interpolated
 nodally.  The `sign` argument selects the symmetric (-1) or the
 antisymmetric (+1, default) variant of the stabilized methods.
@@ -70,25 +74,21 @@ class ProblemSpec:
         gu = self.grad_u(x, y)
         return self.a(x, y) * (gu[..., 0] * nx + gu[..., 1] * ny)
 
-    def g_tangential(self, mesh):
-        """Tangential derivative of g along facets; analytic when grad_u
-        is available, otherwise central differences in arc length."""
+    def g_tangential(self, mesh, t):
+        """Tangential derivative of g at the parameters t on every
+        boundary facet, shape (facets, len(t)); analytic when grad_u is
+        available, otherwise central differences in arc length."""
         if self.grad_u is not None:
-            def fn(facet_ids, t):
-                pts = mesh.boundary_points(facet_ids, t)
-                tang = mesh.bf_tangent[facet_ids]
-                gu = self.grad_u(pts[:, 0], pts[:, 1])
-                return gu[..., 0] * tang[:, 0] + gu[..., 1] * tang[:, 1]
-            return fn
-
-        def fn(facet_ids, t):
-            h = 1e-6
-            p1 = mesh.boundary_points(facet_ids, np.clip(t + h, 0.0, 1.0))
-            p0 = mesh.boundary_points(facet_ids, np.clip(t - h, 0.0, 1.0))
-            dt = np.clip(t + h, 0.0, 1.0) - np.clip(t - h, 0.0, 1.0)
-            ds = dt * mesh.bf_len[facet_ids]
-            return (self.g(p1[:, 0], p1[:, 1]) - self.g(p0[:, 0], p0[:, 1])) / ds
-        return fn
+            pts = mesh.facet_points(t)
+            gu = self.grad_u(pts[..., 0], pts[..., 1])
+            tang = mesh.bf_tangent[:, None, :]
+            return gu[..., 0] * tang[..., 0] + gu[..., 1] * tang[..., 1]
+        h = 1e-6
+        t1, t0 = np.clip(t + h, 0.0, 1.0), np.clip(t - h, 0.0, 1.0)
+        p1, p0 = mesh.facet_points(t1), mesh.facet_points(t0)
+        ds = (t1 - t0) * mesh.bf_len[:, None]
+        return (self.g(p1[..., 0], p1[..., 1])
+                - self.g(p0[..., 0], p0[..., 1])) / ds
 
 
 def verify_problem(problem, n_points=100, step=1e-5, rtol=1e-4, seed=7):
@@ -222,19 +222,13 @@ class DiscreteSolution:
         """(u, dn): monomial rows in t (lowest degree first) of u_h and of
         dn(u_h) on every boundary facet, shape (facets, k + 1) each, from
         the bulk basis at k + 1 equispaced nodes of each facet."""
-        mesh = self.mesh
-        k = self.space.order
-        nbf = mesh.num_boundary_facets
-        nodes = np.linspace(0.0, 1.0, k + 1)
-        frep = np.repeat(np.arange(nbf), k + 1)
-        trep = np.tile(nodes, nbf)
-        vals, grads, dofs = fem.facet_point_basis(self.space, frep, trep,
-                                                  gradients=True)
+        nodes = np.linspace(0.0, 1.0, self.space.order + 1)
+        vals, grads, dofs = fem.facet_basis(self.space, nodes,
+                                            gradients=True)
         local = self.coeffs[dofs]
-        u = np.einsum("nj,nj->n", local, vals).reshape(nbf, k + 1)
-        gu = np.einsum("nj,nja->na", local, grads)
-        nrm = mesh.bf_normal[frep]
-        dn = (gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1]).reshape(nbf, k + 1)
+        u = np.einsum("fj,fqj->fq", local, vals)
+        gu = np.einsum("fj,fqja->fqa", local, grads)
+        dn = np.einsum("fqa,fa->fq", gu, self.mesh.bf_normal)
         return (fem.monomial_coefficients(u, nodes),
                 fem.monomial_coefficients(dn, nodes))
 
@@ -262,40 +256,65 @@ class DiscreteSolution:
 
 def _prologue(problem, mesh, k, degree):
     """What every solver starts from: the bulk space of order k, its
-    stiffness matrix and load vector, and the boundary data at the facet
-    quadrature points (frep, trep, vals, adn, dofs, gv, lenw, hF)."""
+    stiffness matrix and load vector, and the boundary data on the facet
+    rule t, each of shape (facets, len(t), ...): the bulk basis, a dn of
+    it, g and the weights w_q h_F, with the dofs of each facet
+    (t, vals, adn, dofs, gv, lenw)."""
     space = FeSpace(mesh, k)
     if degree is None:
         degree = 2 * k + 4
     A = fem.assemble_stiffness(space, problem.a, degree)
     F = fem.assemble_load(space, problem.f, degree)
-    facets = np.arange(mesh.num_boundary_facets)
     t, w = segment_rule(degree)
-    nq = len(t)
-    frep = np.repeat(facets, nq)
-    trep = np.tile(t, len(facets))
-    vals, grads, dofs = fem.facet_point_basis(space, frep, trep,
-                                              gradients=True)
-    pts = mesh.boundary_points(frep, trep)
-    nrm = mesh.bf_normal[frep]
-    adn = (problem.a(pts[:, 0], pts[:, 1])[:, None]
-           * np.einsum("nja,na->nj", grads, nrm))
-    gv = problem.g(pts[:, 0], pts[:, 1])
-    hF = mesh.bf_len[frep]
-    lenw = np.tile(w, len(facets)) * hF
-    return space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF)
-
-
-def _scatter(rows, cols, vals, shape):
-    return sparse.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    vals, grads, dofs = fem.facet_basis(space, t, gradients=True)
+    x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
+    adn = (problem.a(x, y)[..., None]
+           * np.einsum("fqja,fa->fqj", grads, mesh.bf_normal))
+    lenw = w * mesh.bf_len[:, None]
+    return space, A, F, (t, vals, adn, dofs, problem.g(x, y), lenw)
 
 
 def _pair(vals_i, vals_j, weight, dofs_i, dofs_j, shape):
-    contrib = vals_i[:, :, None] * vals_j[:, None, :] * weight[:, None, None]
-    rows = np.repeat(dofs_i[:, :, None], dofs_j.shape[1], axis=2)
-    cols = np.repeat(dofs_j[:, None, :], dofs_i.shape[1], axis=1)
-    return _scatter(rows, cols, contrib, shape)
+    """Sparse matrix of the facet rule sums of weight * vals_i vals_j:
+    one local matrix per facet, added at (dofs_i, dofs_j).  vals are
+    (facets, nq, n), or one (nq, n) table shared by every facet."""
+    vi = np.broadcast_to(vals_i, weight.shape + vals_i.shape[-1:])
+    vj = np.broadcast_to(vals_j, weight.shape + vals_j.shape[-1:])
+    local = np.einsum("fqi,fqj,fq->fij", vi, vj, weight)
+    rows = np.broadcast_to(dofs_i[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs_j[:, None, :], local.shape)
+    return sparse.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=shape).tocsr()
+
+
+def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
+                      alpha=0.0, sign=1):
+    """The solve of both multiplier methods: [[A, -C], [-C^T, 0]] x =
+    [F, -G], and with alpha > 0 the matrix gains
+    alpha [[sign D, -sign E], [E^T, -Mb]], which is the Barbosa-Hughes
+    system with its second block row negated.  The matrix is symmetric,
+    and checked to be, when alpha == 0 or sign == -1."""
+    bspace = BoundarySpace(mesh, kprime, continuous)
+    space, A, F, (t, vals, adn, dofs, gv, lenw) = _prologue(
+        problem, mesh, k, degree)
+    mvals = bspace.eval(t)
+    mdofs = bspace.facet_dofs
+    nb, nm = space.ndof, bspace.ndof
+    C = _pair(vals, mvals, lenw, dofs, mdofs, (nb, nm))
+    G = fem.facet_vector(nm, mdofs, mvals, gv * lenw)
+    K = sparse.bmat([[A, -C], [-C.T, None]], format="csr")
+    if alpha > 0:
+        hw = lenw * mesh.bf_len[:, None]
+        D = _pair(adn, adn, hw, dofs, dofs, (nb, nb))
+        E = _pair(adn, mvals, hw, dofs, mdofs, (nb, nm))
+        Mb = _pair(mvals, mvals, hw, mdofs, mdofs, (nm, nm))
+        K = K + alpha * sparse.bmat([[sign * D, -sign * E], [E.T, -Mb]],
+                                    format="csr")
+    x = fem.solve(SparseSystem(K, np.concatenate([F, -G]),
+                               symmetric=alpha == 0 or sign == -1))
+    return DiscreteSolution(method, problem, space, x[:nb],
+                            multiplier_space=bspace, multiplier=x[nb:],
+                            alpha=alpha if alpha > 0 else None, sign=sign)
 
 
 def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False,
@@ -305,21 +324,8 @@ def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False,
     The multiplier equation enforces the Dirichlet data weakly; the
     bulk equation carries -integral(lambda_h v) on its left-hand side.
     """
-    bspace = BoundarySpace(mesh, kprime, continuous)
-    space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF) = _prologue(
-        problem, mesh, k, degree)
-    mvals = bspace.eval(trep)
-    mdofs = bspace.facet_dofs[frep]
-    C = _pair(vals, mvals, lenw, dofs, mdofs, (space.ndof, bspace.ndof))
-    G = np.zeros(bspace.ndof)
-    np.add.at(G, mdofs, mvals * (gv * lenw)[:, None])
-
-    K = sparse.bmat([[A, -C], [-C.T, None]], format="csr")
-    rhs = np.concatenate([F, -G])
-    x = fem.solve(SparseSystem(K, rhs, symmetric=True))
-    return DiscreteSolution(LAGRANGE, problem, space, x[:space.ndof],
-                            multiplier_space=bspace,
-                            multiplier=x[space.ndof:])
+    return _solve_multiplier(LAGRANGE, problem, mesh, k, kprime, continuous,
+                             degree)
 
 
 def solve_barbosa_hughes(problem, mesh, k=2, kprime=0, continuous=False,
@@ -329,43 +335,24 @@ def solve_barbosa_hughes(problem, mesh, k=2, kprime=0, continuous=False,
         raise ValueError("stabilization parameter must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    bspace = BoundarySpace(mesh, kprime, continuous)
-    space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF) = _prologue(
-        problem, mesh, k, degree)
-    mvals = bspace.eval(trep)
-    mdofs = bspace.facet_dofs[frep]
-    nb, nm = space.ndof, bspace.ndof
-
-    C = _pair(vals, mvals, lenw, dofs, mdofs, (nb, nm))
-    D = _pair(adn, adn, lenw * hF, dofs, dofs, (nb, nb))
-    E = _pair(adn, mvals, lenw * hF, dofs, mdofs, (nb, nm))
-    Mb = _pair(mvals, mvals, lenw * hF, mdofs, mdofs, (nm, nm))
-    G = np.zeros(nm)
-    np.add.at(G, mdofs, mvals * (gv * lenw)[:, None])
-
-    K = sparse.bmat(
-        [[A + sign * alpha * D, -C - sign * alpha * E],
-         [C.T - alpha * E.T, alpha * Mb]], format="csr")
-    rhs = np.concatenate([F, G])
-    x = fem.solve(SparseSystem(K, rhs))
-    return DiscreteSolution(BARBOSA_HUGHES, problem, space, x[:nb],
-                            multiplier_space=bspace, multiplier=x[nb:],
-                            alpha=alpha, sign=sign)
+    return _solve_multiplier(BARBOSA_HUGHES, problem, mesh, k, kprime,
+                             continuous, degree, alpha, sign)
 
 
 def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1, degree=None):
     """Penalty-consistent weak imposition of the Dirichlet data."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    space, A, F, (frep, trep, vals, adn, dofs, gv, lenw, hF) = _prologue(
+    space, A, F, (t, vals, adn, dofs, gv, lenw) = _prologue(
         problem, mesh, k, degree)
     n = space.ndof
+    hF = mesh.bf_len[:, None]
     N1 = _pair(vals, adn, lenw, dofs, dofs, (n, n))     # v * a dn(u)
     P = _pair(vals, vals, lenw * gamma / hF, dofs, dofs, (n, n))
     K = A - N1 + sign * N1.T + P
-    rhs = F.copy()
-    np.add.at(rhs, dofs, adn * (sign * gv * lenw)[:, None])
-    np.add.at(rhs, dofs, vals * (gamma / hF * gv * lenw)[:, None])
+    # the data g enters against sign * a dn(v) + gamma/h_F v
+    rhs = F + fem.facet_vector(n, dofs, sign * adn + gamma / hF[..., None]
+                               * vals, gv * lenw)
     x = fem.solve(SparseSystem(K, rhs))
     return DiscreteSolution(NITSCHE, problem, space, x,
                             gamma=gamma, sign=sign)
@@ -382,11 +369,12 @@ def compatibility_defect(solution, degree=None):
     if degree is None:
         degree = 2 * solution.space.order + 4
     t, w = segment_rule(degree)
-    facets = np.arange(mesh.num_boundary_facets)
-    frep = np.repeat(facets, len(t))
-    trep = np.tile(t, len(facets))
-    lam = solution.flux_values(frep, trep)
-    lenw = np.tile(w, len(facets)) * mesh.bf_len[frep]
-    int_lam = float((lam * lenw).sum())
+    flux = solution.flux
+    lam = fem.monomial_values(flux.q, t)
+    if flux.d is not None:
+        x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
+        lam += (problem.a(x, y) * fem.monomial_values(flux.d, t)
+                + flux.c[:, None] * problem.g(x, y))
+    int_lam = float((lam @ w) @ mesh.bf_len)
     int_f = float(fem.assemble_load(solution.space, problem.f, degree).sum())
     return int_lam + int_f

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fluxweight import fem
 from fluxweight.mesh import Mesh, build_unit_square, refine
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
@@ -98,11 +97,38 @@ def assemble_grad_load(space, vec_field, degree=None):
     return r
 
 
+def facet_point_basis(space, facet_ids, t, gradients=False):
+    """Trace of the bulk basis at per-point facet parameters, one point
+    at a time: facet_ids and t are arrays of equal length n; returns
+    (values (n, nd), grads (n, nd, 2) or None, dofs (n, nd)).  The
+    parameter runs counterclockwise along the boundary."""
+    mesh = space.mesh
+    tri = mesh.bf_tri[facet_ids]
+    le = mesh.bf_local[facet_ids]
+    ref_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    A = ref_verts[(le + 1) % 3]
+    B = ref_verts[(le + 2) % 3]
+    pts = A + np.asarray(t, dtype=float)[:, None] * (B - A)
+    vals = space.element.eval(pts)
+    grads = None
+    if gradients:
+        _, invJT, _ = mesh.jacobians(tri)
+        grads = np.einsum("nab,njb->nja", invJT, space.element.grad(pts))
+    return vals, grads, space.tri_dofs[tri]
+
+
+def multiplier_values(bspace, coeffs, facet_ids, t):
+    """A multiplier function at per-point facet parameters, from the
+    Lagrange basis of its BoundarySpace."""
+    return np.einsum("nj,nj->n", coeffs[bspace.facet_dofs[facet_ids]],
+                     bspace.eval(t))
+
+
 def bulk_trace(solution, facet_ids, t):
     """u_h and dn(u_h) at facet parameters, from the bulk basis of the
     solution's space (one-sided, from the facet's element)."""
-    vals, grads, dofs = fem.facet_point_basis(solution.space, facet_ids, t,
-                                              gradients=True)
+    vals, grads, dofs = facet_point_basis(solution.space, facet_ids, t,
+                                          gradients=True)
     co = solution.coeffs[dofs]
     gu = np.einsum("nj,nja->na", co, grads)
     nrm = solution.mesh.bf_normal[facet_ids]

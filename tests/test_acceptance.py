@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fluxweight import driver, estimator, fem, methods, norms
+from fluxweight import driver, estimator, methods, norms
 from fluxweight.driver import AmrConfig
 from fluxweight.mesh import build_unit_square, check_mesh, refine
 

@@ -1,8 +1,5 @@
 import json
 
-import numpy as np
-import pytest
-
 from fluxweight.cli import main
 from fluxweight.experiments import run_experiment
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxweight import driver, methods, norms
+from fluxweight import driver, fem, methods, norms
 from fluxweight.driver import AmrConfig, mark
 from fluxweight.mesh import build_unit_square, uniform_refine
+from fluxweight.problems import problem_data
 
 
 def test_mark_examples():
@@ -85,6 +87,28 @@ def test_amr_last_row_seconds_include_final_e1(monkeypatch):
     rec, _ = driver.amr_loop(cfg)
     assert rec.E1[-1] == 0.0
     assert rec.seconds[-1] >= 0.2
+
+
+def test_e1_rejects_a_flux_that_does_not_conserve():
+    # a constant added to the multiplier breaks
+    # integral(lambda_h) = -integral(f) by 0.5 * perimeter
+    mesh = build_unit_square(4)
+    cfg = AmrConfig(problem="franke", method="lagrange", k=2)
+    sol = methods.solve_lagrange(problem_data("franke"), mesh, k=2)
+    shifted = dataclasses.replace(sol, multiplier=sol.multiplier + 0.5)
+    with pytest.raises(fem.SolverError, match="compatibility defect"):
+        driver._e1_of(norms.flux_error_function(shifted), cfg, mesh)
+
+
+@pytest.mark.parametrize("method", ["nitsche", "lagrange", "barbosa-hughes"])
+@pytest.mark.parametrize("problem", ["franke", "varcoef-peak"])
+def test_e1_accepts_real_solutions(method, problem):
+    mesh = build_unit_square(4)
+    cfg = AmrConfig(problem=problem, method=method, k=2 if method ==
+                    "lagrange" else 1)
+    sol = driver._solve(cfg, problem_data(problem), mesh)
+    e1 = driver._e1_of(norms.flux_error_function(sol), cfg, mesh)
+    assert 0.0 < e1 < np.inf
 
 
 def test_amr_records_monotone_N():

@@ -10,7 +10,8 @@ from fluxweight.mesh import boundary_band, build_unit_square, uniform_refine
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule, triangle_rule
 
-from conftest import distorted_square4, eval_cells, interpolate
+from conftest import (distorted_square4, eval_cells, facet_point_basis,
+                      interpolate)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -160,13 +161,13 @@ def test_trace_consistency(square4):
         facets = np.arange(square4.num_boundary_facets)
         frep = np.repeat(facets, len(t))
         trep = np.tile(t, len(facets))
-        vals, _, dofs = fem.facet_point_basis(sp, frep, trep)
+        vals, _, dofs = facet_point_basis(sp, frep, trep)
         through_volume = np.einsum("nj,nj->n", coeffs[dofs], vals)
         # restriction: Lagrange interpolation of the endpoint/midpoint values
         nodes = np.linspace(0.0, 1.0, order + 1)
         node_vals = []
         for tn in nodes:
-            v, _, d = fem.facet_point_basis(
+            v, _, d = facet_point_basis(
                 sp, facets, np.full(len(facets), tn))
             node_vals.append(np.einsum("nj,nj->n", coeffs[d], v))
         node_vals = np.stack(node_vals, axis=1)
@@ -178,6 +179,26 @@ def test_trace_consistency(square4):
                     lj *= (trep - xm) / (xj - xm)
             restr += node_vals[frep, j] * lj
         assert np.abs(through_volume - restr).max() <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_facet_basis_matches_pointwise_oracle(order):
+    # one table per local edge against one basis evaluation per point,
+    # on a mesh whose boundary facets use all three local edges
+    m = distorted_square4()
+    assert set(m.bf_local) == {0, 1, 2}
+    sp = fem.FeSpace(m, order)
+    t, _ = segment_rule(2 * order + 4)
+    vals, grads, dofs = fem.facet_basis(sp, t, gradients=True)
+    nbf, nq, nd = m.num_boundary_facets, len(t), sp.element.ndof
+    v, g, d = facet_point_basis(sp, np.repeat(np.arange(nbf), nq),
+                                np.tile(t, nbf), gradients=True)
+    assert vals.shape == (nbf, nq, nd) and grads.shape == (nbf, nq, nd, 2)
+    assert np.array_equal(dofs, d[::nq])
+    assert np.abs(vals - v.reshape(nbf, nq, nd)).max() <= 1e-13
+    assert (np.abs(grads - g.reshape(nbf, nq, nd, 2)).max()
+            <= 1e-13 * np.abs(g).max())
+    assert fem.facet_basis(sp, t)[1] is None
 
 
 def test_solve_identity_and_saddle():
@@ -210,7 +231,7 @@ def test_pure_neumann_constrained_solve(square4):
     frep = np.repeat(facets, len(t))
     trep = np.tile(t, len(facets))
     s = square4.bf_s0[frep] + trep * square4.bf_len[frep]
-    vals, _, dofs = fem.facet_point_basis(sp, frep, trep)
+    vals, _, dofs = facet_point_basis(sp, frep, trep)
     lenw = np.tile(w, len(facets)) * np.repeat(square4.bf_len, len(t))
     b = np.zeros(sp.ndof)
     np.add.at(b, dofs, vals * (np.cos(np.pi * s / 2.0) * lenw)[:, None])

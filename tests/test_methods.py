@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
 from conftest import (assemble_grad_load, bulk_trace, distorted_square4,
-                      exact_flux_integral_defect, interpolate,
-                      make_linear_problem)
+                      exact_flux_integral_defect, facet_point_basis,
+                      interpolate, make_linear_problem, multiplier_values)
 
 
 def exact_flux_on_facets(problem, mesh, t=0.5):
@@ -104,7 +106,7 @@ def test_multiplier_flux_matches_basis(kprime, continuous, gentle_problem,
     rng = np.random.default_rng(6)
     f = rng.integers(0, square4.num_boundary_facets, 100)
     t = rng.random(100)
-    basis = sol.multiplier_space.values(sol.multiplier, f, t)
+    basis = multiplier_values(sol.multiplier_space, sol.multiplier, f, t)
     assert np.abs(sol.flux_values(f, t) - basis).max() \
         <= 1e-12 * np.abs(basis).max()
 
@@ -204,7 +206,7 @@ def test_galerkin_orthogonality(gentle_problem, square8):
     lam = p.exact_flux(pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1])
     lam_h = sol.flux_values(frep, trep)
     lenw = np.tile(w, len(facets)) * np.repeat(square8.bf_len, len(t))
-    vals, _, dofs = fem.facet_point_basis(sp, frep, trep)
+    vals, _, dofs = facet_point_basis(sp, frep, trep)
     np.add.at(r, dofs, -vals * ((lam - lam_h) * lenw)[:, None])
     # r(v_h) vanishes for 20 random discrete functions
     rng = np.random.default_rng(4)
@@ -230,6 +232,18 @@ def test_symmetric_and_antisymmetric_rates_agree():
             mesh = uniform_refine(mesh, 2)
         rates[sign] = np.log2(errs[-2] / errs[-1])
     assert abs(rates[1] - rates[-1]) <= 0.2
+
+
+def test_g_tangential_differences_match_analytic():
+    # without grad_u, g_tangential takes central differences of g in arc
+    # length; Franke's g varies on the scale of its bumps
+    m = distorted_square4()
+    p = problem_data("franke")
+    t, _ = segment_rule(8)
+    exact = p.g_tangential(m, t)
+    fd = dataclasses.replace(p, grad_u=None).g_tangential(m, t)
+    assert exact.shape == fd.shape == (m.num_boundary_facets, len(t))
+    assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
 
 
 def test_verify_problem_catches_wrong_source():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxweight import methods, norms
+from fluxweight import fem, methods, norms
 from fluxweight.mesh import (boundary_band, build_domain_mesh,
                              build_graded_mesh, build_unit_square,
                              uniform_refine)
@@ -235,14 +235,42 @@ def test_boundary_band_e1_matches_uniform_reference(square8):
     assert band == pytest.approx(full, rel=1e-6)
 
 
-def test_compatibility_gate_fires(square8):
-    def shifted(f, t):
-        s = square8.bf_s0[f] + t * square8.bf_len[f]
-        return np.cos(2 * np.pi * s / 4.0) + 0.5  # constant offset
+def test_boundary_dual_load_matches_pointwise_loop(square4):
+    # a flux error of square4 that jumps at its facet ends, against the
+    # P3 basis of square4 bisected twice; the loop locates every rule
+    # point in the facet's triangle by J^-1 and evaluates delta at its
+    # arc length
+    sol = methods.solve_barbosa_hughes(problem_data("franke"), square4,
+                                       k=2, kprime=1)
+    delta = flux_error_function(sol)
+    fine = uniform_refine(square4, 2)
+    sp = fem.FeSpace(fine, 3)
+    b = norms.boundary_dual_load(sp, delta, degree=10)
+    t, w = segment_rule(10)
+    ref = np.zeros(sp.ndof)
+    for f in range(fine.num_boundary_facets):
+        P, Q = fine.vertices[fine.bf_v0[f]], fine.vertices[fine.bf_v1[f]]
+        tri = fine.bf_tri[f]
+        v = fine.vertices[fine.triangles[tri]]
+        J = np.column_stack([v[1] - v[0], v[2] - v[0]])
+        for tq, wq in zip(t, w):
+            xi = np.linalg.solve(J, P + tq * (Q - P) - v[0])
+            val = delta.eval_s(np.array([fine.bf_s0[f]
+                                         + tq * fine.bf_len[f]]))[0]
+            ref[sp.tri_dofs[tri]] += (wq * fine.bf_len[f] * val
+                                      * sp.element.eval(xi[None])[0])
+    assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    bf = BoundaryFunction(square8, shifted)
-    with pytest.warns(UserWarning, match="nonzero mean"):
-        norms.neumann_dual_error(bf, uniform_refine(square8, 2), order=3)
+
+def test_boundary_dual_load_needs_facets_that_refine_the_pieces():
+    # delta jumps at the facet ends of build_unit_square(2), among them
+    # s = 1/2, which no facet of build_unit_square(3) starts at
+    delta = BoundaryFunction(build_unit_square(2),
+                             lambda f, t: (-1.0) ** f)
+    with pytest.raises(ValueError, match="refine"):
+        norms.boundary_dual_load(fem.FeSpace(build_unit_square(3), 2), delta)
+    b = norms.boundary_dual_load(fem.FeSpace(build_unit_square(4), 2), delta)
+    assert np.isfinite(b).all()
 
 
 def test_norm_equivalence_family():

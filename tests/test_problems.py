@@ -59,7 +59,7 @@ def test_lshape_singular_part_harmonic():
 
 def test_lshape_singular_vanishes_on_reentrant_edges():
     p = problem_data("lshape-singular")
-    from fluxweight.problems import _corner_singular, _gauss_peak
+    from fluxweight.problems import _corner_singular
     x = np.linspace(0.05, 0.95, 20)
     assert np.abs(_corner_singular(x, np.zeros_like(x))[0]).max() <= 1e-14
     y = -x

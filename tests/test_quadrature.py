@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fluxweight.quadrature import segment_rule, triangle_rule
