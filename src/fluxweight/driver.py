@@ -171,14 +171,14 @@ def _e1_of(delta, config, mesh):
     """E1 of `delta` under the module's reference rule: order k+2 on
     the boundary band of `mesh`.  The lifting needs a flux error of mean
     zero, so E1 raises fem.SolverError unless the solution conserves:
-    |compatibility defect| <= 1e-10 * (load sum of |f|)."""
+    |compatibility defect| <= 1e-10 * integral |f|, both from the
+    solve's own load pass."""
     sol = delta.solution
     defect = methods.compatibility_defect(sol)
-    scale = fem.assemble_load(sol.space,
-                              lambda x, y: np.abs(sol.problem.f(x, y))).sum()
+    scale = sol.abs_f_integral
     if not abs(defect) <= 1e-10 * scale:
         raise fem.SolverError(f"compatibility defect {defect:.3e} exceeds "
-                              f"1e-10 of the load sum of |f|, {scale:.3e}")
+                              f"1e-10 of integral |f|, {scale:.3e}")
     return norms.neumann_dual_error(delta, boundary_band(mesh, 2),
                                     order=config.k + 2)
 

@@ -195,12 +195,11 @@ class Mesh:
         return np.clip(idx, 0, self.num_boundary_facets - 1)
 
     def triangle_points(self, tri_ids, ref_pts):
-        """Map reference points (nq, 2) into triangles, shape (nt, nq, 2)."""
-        p = self.vertices[self.triangles[tri_ids]]
-        x = ref_pts[None, :, 0, None]
-        y = ref_pts[None, :, 1, None]
-        return (p[:, None, 0, :] * (1 - x - y) + p[:, None, 1, :] * x
-                + p[:, None, 2, :] * y)
+        """Map reference points (nq, 2) into triangles, shape (nt, nq, 2):
+        their barycentric coordinates (nq, 3) times the vertices."""
+        x, y = ref_pts[:, 0], ref_pts[:, 1]
+        return np.stack([1 - x - y, x, y], axis=1) @ self.vertices[
+            self.triangles[tri_ids]]
 
     def jacobians(self, tri_ids=None):
         """Affine Jacobians (n, 2, 2), inverse transposes and determinants."""

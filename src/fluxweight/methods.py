@@ -10,7 +10,12 @@ u_h are read from one per-facet monomial form too, DiscreteSolution.trace,
 which the Nitsche flux and every estimator boundary term share.
 
 Every boundary term is integrated on arrays of shape (facets, rule
-points) and assembled from one local matrix per facet.  The Lagrange
+points) as one local matrix per facet.  Each system matrix is one
+conversion of the element stiffness matrices and these facet matrices
+(fem.assemble_matrix), with no sparse sums or block stacking.  The
+solve's load pass also gives integral f (the sum of its load vector)
+and integral |f|; the DiscreteSolution keeps both with the rule's
+degree, for the compatibility defect and its scale.  The Lagrange
 multiplier method is the alpha = 0 case of the Barbosa-Hughes solve.
 
 Dirichlet data enters weakly everywhere: nothing is interpolated
@@ -23,7 +28,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from . import fem
 from .fem import BoundarySpace, FeSpace, SparseSystem
@@ -197,6 +201,11 @@ class DiscreteSolution:
     gamma: Optional[float] = None
     alpha: Optional[float] = None
     sign: int = 1
+    # the quadrature degree of the solve, and integral f and integral |f|
+    # by its load rule (integral f is the sum of the load vector)
+    degree: Optional[int] = None
+    f_integral: float = np.nan
+    abs_f_integral: float = np.nan
     extras: dict = field(default_factory=dict)
 
     @property
@@ -256,35 +265,34 @@ class DiscreteSolution:
 
 def _prologue(problem, mesh, k, degree):
     """What every solver starts from: the bulk space of order k, its
-    stiffness matrix and load vector, and the boundary data on the facet
-    rule t, each of shape (facets, len(t), ...): the bulk basis, a dn of
-    it, g and the weights w_q h_F, with the dofs of each facet
+    element stiffness matrices, its load vector with the integrals of f
+    and |f| by the same rule, and the boundary data on the facet rule t,
+    each of shape (facets, len(t), ...): the bulk basis, a dn of it, g
+    and the weights w_q h_F, with the dofs of each facet
     (t, vals, adn, dofs, gv, lenw)."""
     space = FeSpace(mesh, k)
     if degree is None:
         degree = 2 * k + 4
-    A = fem.assemble_stiffness(space, problem.a, degree)
-    F = fem.assemble_load(space, problem.f, degree)
+    Ke = fem.element_stiffness(space, problem.a, degree)
+    F, abs_f = fem.assemble_load_sums(space, problem.f, degree)
     t, w = segment_rule(degree)
     vals, grads, dofs = fem.facet_basis(space, t, gradients=True)
     x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
     adn = (problem.a(x, y)[..., None]
            * np.einsum("fqja,fa->fqj", grads, mesh.bf_normal))
     lenw = w * mesh.bf_len[:, None]
-    return space, A, F, (t, vals, adn, dofs, problem.g(x, y), lenw)
+    loads = dict(degree=degree, f_integral=float(F.sum()),
+                 abs_f_integral=abs_f)
+    return space, Ke, F, loads, (t, vals, adn, dofs, problem.g(x, y), lenw)
 
 
-def _pair(vals_i, vals_j, weight, dofs_i, dofs_j, shape):
-    """Sparse matrix of the facet rule sums of weight * vals_i vals_j:
-    one local matrix per facet, added at (dofs_i, dofs_j).  vals are
-    (facets, nq, n), or one (nq, n) table shared by every facet."""
+def _pair(vals_i, vals_j, weight):
+    """Local matrices (facets, n_i, n_j) of the facet rule sums of
+    weight * vals_i vals_j.  vals are (facets, nq, n), or one (nq, n)
+    table shared by every facet."""
     vi = np.broadcast_to(vals_i, weight.shape + vals_i.shape[-1:])
     vj = np.broadcast_to(vals_j, weight.shape + vals_j.shape[-1:])
-    local = np.einsum("fqi,fqj,fq->fij", vi, vj, weight)
-    rows = np.broadcast_to(dofs_i[:, :, None], local.shape)
-    cols = np.broadcast_to(dofs_j[:, None, :], local.shape)
-    return sparse.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                             shape=shape).tocsr()
+    return np.einsum("fqi,fqj,fq->fij", vi, vj, weight)
 
 
 def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
@@ -292,29 +300,34 @@ def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
     """The solve of both multiplier methods: [[A, -C], [-C^T, 0]] x =
     [F, -G], and with alpha > 0 the matrix gains
     alpha [[sign D, -sign E], [E^T, -Mb]], which is the Barbosa-Hughes
-    system with its second block row negated.  The matrix is symmetric,
-    and checked to be, when alpha == 0 or sign == -1."""
+    system with its second block row negated.  Every block is a sum of
+    local matrices per triangle or facet, and the matrix is one
+    conversion of all of them.  It is symmetric, and checked to be, when
+    alpha == 0 or sign == -1."""
     bspace = BoundarySpace(mesh, kprime, continuous)
-    space, A, F, (t, vals, adn, dofs, gv, lenw) = _prologue(
+    space, Ke, F, loads, (t, vals, adn, dofs, gv, lenw) = _prologue(
         problem, mesh, k, degree)
     mvals = bspace.eval(t)
-    mdofs = bspace.facet_dofs
     nb, nm = space.ndof, bspace.ndof
-    C = _pair(vals, mvals, lenw, dofs, mdofs, (nb, nm))
-    G = fem.facet_vector(nm, mdofs, mvals, gv * lenw)
-    K = sparse.bmat([[A, -C], [-C.T, None]], format="csr")
+    mdofs = nb + bspace.facet_dofs
+    C = _pair(vals, mvals, lenw)
+    top, bottom = -C, -C
+    terms = [(space.tri_dofs, space.tri_dofs, Ke)]
     if alpha > 0:
         hw = lenw * mesh.bf_len[:, None]
-        D = _pair(adn, adn, hw, dofs, dofs, (nb, nb))
-        E = _pair(adn, mvals, hw, dofs, mdofs, (nb, nm))
-        Mb = _pair(mvals, mvals, hw, mdofs, mdofs, (nm, nm))
-        K = K + alpha * sparse.bmat([[sign * D, -sign * E], [E.T, -Mb]],
-                                    format="csr")
+        E = _pair(adn, mvals, hw)
+        top, bottom = top - alpha * sign * E, bottom + alpha * E
+        terms += [(dofs, dofs, alpha * sign * _pair(adn, adn, hw)),
+                  (mdofs, mdofs, -alpha * _pair(mvals, mvals, hw))]
+    terms += [(dofs, mdofs, top), (mdofs, dofs, bottom.transpose(0, 2, 1))]
+    K = fem.assemble_matrix((nb + nm, nb + nm), terms)
+    G = fem.facet_vector(nm, bspace.facet_dofs, mvals, gv * lenw)
     x = fem.solve(SparseSystem(K, np.concatenate([F, -G]),
                                symmetric=alpha == 0 or sign == -1))
     return DiscreteSolution(method, problem, space, x[:nb],
                             multiplier_space=bspace, multiplier=x[nb:],
-                            alpha=alpha if alpha > 0 else None, sign=sign)
+                            alpha=alpha if alpha > 0 else None, sign=sign,
+                            **loads)
 
 
 def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False,
@@ -340,35 +353,40 @@ def solve_barbosa_hughes(problem, mesh, k=2, kprime=0, continuous=False,
 
 
 def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1, degree=None):
-    """Penalty-consistent weak imposition of the Dirichlet data."""
+    """Penalty-consistent weak imposition of the Dirichlet data.
+
+    The matrix A - N1 + sign N1^T + P is one conversion of the element
+    stiffness matrices and one boundary matrix per facet, whose dofs
+    are those of the facet's triangle."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    space, A, F, (t, vals, adn, dofs, gv, lenw) = _prologue(
+    space, Ke, F, loads, (t, vals, adn, dofs, gv, lenw) = _prologue(
         problem, mesh, k, degree)
     n = space.ndof
     hF = mesh.bf_len[:, None]
-    N1 = _pair(vals, adn, lenw, dofs, dofs, (n, n))     # v * a dn(u)
-    P = _pair(vals, vals, lenw * gamma / hF, dofs, dofs, (n, n))
-    K = A - N1 + sign * N1.T + P
+    N1 = _pair(vals, adn, lenw)     # v * a dn(u)
+    boundary = (sign * N1.transpose(0, 2, 1) - N1
+                + _pair(vals, vals, lenw * gamma / hF))
+    K = fem.assemble_matrix((n, n), [(space.tri_dofs, space.tri_dofs, Ke),
+                                     (dofs, dofs, boundary)])
     # the data g enters against sign * a dn(v) + gamma/h_F v
     rhs = F + fem.facet_vector(n, dofs, sign * adn + gamma / hF[..., None]
                                * vals, gv * lenw)
     x = fem.solve(SparseSystem(K, rhs))
     return DiscreteSolution(NITSCHE, problem, space, x,
-                            gamma=gamma, sign=sign)
+                            gamma=gamma, sign=sign, **loads)
 
 
-def compatibility_defect(solution, degree=None):
+def compatibility_defect(solution):
     """integral(lambda_h) + integral(f): vanishes up to solver tolerance.
 
-    Uses the same quadrature degrees as the assembly so the identity
-    obtained by testing with v = 1 holds exactly.
+    Uses the solve's own rule, on the boundary and for its load sum
+    integral(f), so the identity obtained by testing with v = 1 holds
+    exactly.
     """
     problem = solution.problem
     mesh = solution.mesh
-    if degree is None:
-        degree = 2 * solution.space.order + 4
-    t, w = segment_rule(degree)
+    t, w = segment_rule(solution.degree)
     flux = solution.flux
     lam = fem.monomial_values(flux.q, t)
     if flux.d is not None:
@@ -376,5 +394,4 @@ def compatibility_defect(solution, degree=None):
         lam += (problem.a(x, y) * fem.monomial_values(flux.d, t)
                 + flux.c[:, None] * problem.g(x, y))
     int_lam = float((lam @ w) @ mesh.bf_len)
-    int_f = float(fem.assemble_load(solution.space, problem.f, degree).sum())
-    return int_lam + int_f
+    return int_lam + solution.f_integral

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from fluxweight import fem
 from fluxweight.mesh import Mesh, build_unit_square, refine
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
@@ -95,6 +97,48 @@ def assemble_grad_load(space, vec_field, degree=None):
     re = np.einsum("tqa,tqja,q,t->tj", fv, g, qw, det)
     np.add.at(r, space.tri_dofs, re)
     return r
+
+
+def coo_stiffness(space, a=None, degree=None, block=16384):
+    """The stiffness matrix by the per-block COO path: int64 row and
+    column lists per block of element matrices, concatenated and
+    converted to CSR once at the end."""
+    mesh, nd = space.mesh, space.element.ndof
+    if degree is None:
+        degree = 2 * space.order + 4
+    qp, qw = triangle_rule(degree)
+    S, Sw = fem._stiffness_tensor(space.order, degree)
+    rows, cols, vals = [], [], []
+    for lo in range(0, mesh.num_triangles, block):
+        blk = np.arange(lo, min(lo + block, mesh.num_triangles))
+        _, invJT, det = mesh.jacobians(blk)
+        metric = (det[:, None, None] * (invJT.transpose(0, 2, 1) @ invJT)
+                  ).reshape(-1, 4)
+        if a is None:
+            Ke = metric @ Sw
+        else:
+            pts = mesh.triangle_points(blk, qp)
+            av = np.broadcast_to(a(pts[..., 0], pts[..., 1]),
+                                 (len(blk), len(qw)))
+            Ke = ((av * qw)[:, :, None] * metric[:, None, :]).reshape(
+                len(blk), -1) @ S
+        d = space.tri_dofs[blk].astype(np.int64)
+        rows.append(np.repeat(d, nd, axis=1).ravel())
+        cols.append(np.tile(d, (1, nd)).ravel())
+        vals.append(Ke.ravel())
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.ndof, space.ndof)).tocsr()
+
+
+def facet_point_pair(vals_i, vals_j, weight, dofs_i, dofs_j, shape):
+    """Sparse matrix of sum_p weight[p] vals_i[p, a] vals_j[p, b] at
+    (dofs_i[p, a], dofs_j[p, b]), one outer product per rule point p."""
+    local = vals_i[:, :, None] * vals_j[:, None, :] * weight[:, None, None]
+    rows = np.broadcast_to(dofs_i[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs_j[:, None, :], local.shape)
+    return sparse.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=shape).tocsr()
 
 
 def facet_point_basis(space, facet_ids, t, gradients=False):

@@ -111,6 +111,20 @@ def test_e1_accepts_real_solutions(method, problem):
     assert 0.0 < e1 < np.inf
 
 
+def test_e1_assembles_no_load(monkeypatch):
+    # the conservation check reads the load sums of the solve
+    mesh = build_unit_square(4)
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1)
+    delta = norms.flux_error_function(
+        driver._solve(cfg, problem_data("franke"), mesh))
+    calls = []
+    for name in ("assemble_load", "assemble_load_sums"):
+        monkeypatch.setattr(fem, name, lambda *a, name=name, **kw:
+                            calls.append(name))
+    assert driver._e1_of(delta, cfg, mesh) > 0.0
+    assert calls == []
+
+
 def test_amr_records_monotone_N():
     cfg = AmrConfig(problem="franke", method="nitsche", k=1, budget=400,
                     wavelet_level=10)

@@ -10,8 +10,8 @@ from fluxweight.mesh import boundary_band, build_unit_square, uniform_refine
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule, triangle_rule
 
-from conftest import (distorted_square4, eval_cells, facet_point_basis,
-                      interpolate)
+from conftest import (coo_stiffness, distorted_square4, eval_cells,
+                      facet_point_basis, interpolate)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -116,7 +116,22 @@ def test_stiffness_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("variable", [False, True])
+def test_stiffness_matches_coo_path(order, variable):
+    # one int32 conversion of the element matrices gives the matrix of
+    # the per-block int64 COO lists
+    sp = fem.FeSpace(distorted_square4(), order)
+    a = problem_data("varcoef-peak").a if variable else None
+    A = fem.assemble_stiffness(sp, a)
+    ref = coo_stiffness(sp, a)
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
 def test_load_partition_of_unity(square8):
@@ -214,6 +229,30 @@ def test_solve_residual_contract_reported():
     A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(fem.SolverError):
         fem.solve(fem.SparseSystem(A, np.array([1.0, 0.0])))
+
+
+def test_exactly_singular_factor_reported_singular():
+    # SuperLU stops at the zero pivot 1 - 1 * 1 = 0, which is a
+    # numerically singular factor
+    A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(fem.SolverError,
+                       match="numerically singular.*exactly singular"):
+        fem.solve(fem.SparseSystem(A, np.array([1.0, 1.0])))
+
+
+def test_solve_statistics(caplog, monkeypatch, square4):
+    sp = fem.FeSpace(square4, 2)
+    system = fem.SparseSystem(fem.assemble_stiffness(sp)
+                              + sparse.eye(sp.ndof), np.ones(sp.ndof))
+    with caplog.at_level("INFO", logger="fluxweight.fem"):
+        fem.solve(system)
+        monkeypatch.setattr(fem, "PIVOT_CHECK_MAX_NNZ", 0)
+        fem.solve(system)
+    checked, skipped = [r.args for r in caplog.records
+                        if r.name == "fluxweight.fem"]
+    assert checked["ordering"] == skipped["ordering"] == "MMD_AT_PLUS_A"
+    assert 0.0 < checked["pivot_ratio"] <= 1.0
+    assert skipped["pivot_ratio"] is None
 
 
 def test_symmetry_flag_verified():
