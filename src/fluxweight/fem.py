@@ -11,8 +11,15 @@ reference stiffness on 10 928 triangles takes 0.052 s (one core of a
 2-core x86-64 machine) and a 66 MB traced peak, against 0.135 s and
 134 MB for per-block int64 COO lists.  The load pass also sums |f| by
 its rule (assemble_load_sums).  The solver contract is a direct sparse
-factorization with a verified residual; see solve for the ordering
-rule.
+factorization with a verified residual.
+
+Every system is factored in one elimination order, a nested dissection
+of its own mesh (dissection_order): the tree of the Morton codes of the
+triangle centroids, whose cuts are mesh lines, taken in post-order, with
+each multiplier dof right after the bulk dofs of its facets' triangles
+and the border of a constraint last.  SuperLU keeps that order and gets
+large dense supernodes; see solve for the fill and the factor times
+against reverse Cuthill-McKee with minimum degree.
 
 Bulk kernels do their per-point work on the reference element and map to
 physical coordinates once per triangle.  The stiffness matrix uses the
@@ -33,7 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .elements import reference_element
@@ -223,9 +229,11 @@ class BoundarySpace:
 
 
 class SparseSystem:
-    """Sparse matrix plus right-hand side with a verified symmetry flag."""
+    """Sparse matrix plus right-hand side with a verified symmetry flag,
+    and the order in which solve eliminates the unknowns: a permutation
+    of range(n) (dissection_order), or None for the natural order."""
 
-    def __init__(self, matrix, rhs, symmetric=False):
+    def __init__(self, matrix, rhs, symmetric=False, order=None):
         self.matrix = matrix.tocsr()
         self.rhs = np.asarray(rhs, dtype=float)
         if not np.isfinite(self.matrix.data).all():
@@ -235,7 +243,83 @@ class SparseSystem:
             skew = abs(self.matrix - self.matrix.T)
             if skew.data.size and skew.data.max() > 1e-12 * scale:
                 raise ValueError("matrix claimed symmetric but is not")
+        if order is not None:
+            order = np.asarray(order)
+            n = self.matrix.shape[0]
+            if (len(order) != n
+                    or not (np.bincount(order, minlength=n) == 1).all()):
+                raise ValueError("order is not a permutation of the unknowns")
         self.symmetric = symmetric
+        self.order = order
+
+
+# bit spreading for Morton codes: each step moves half of the bits of
+# every group one group-width up
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+           (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+           (1, 0x5555555555555555))
+
+
+def _morton(q):
+    """Interleave the 26-bit integer coordinates (x, y) of points: x in
+    the even bits, y in the odd ones."""
+    out = []
+    for v in q:
+        for shift, mask in _SPREAD:
+            v = (v | (v << shift)) & mask
+        out.append(v)
+    return out[0] | (out[1] << 1)
+
+
+def dissection_order(space, multiplier_space=None):
+    """Nested-dissection elimination order of the unknowns of a bulk
+    space, followed, when given, by those of a multiplier space on its
+    boundary (numbered after the bulk ones, as in the saddle systems).
+
+    The dissection is the binary tree of the Morton codes of the
+    triangle centroids, quantized to 26 bits per axis over the bounding
+    square of the centroids: a quadtree whose cells are halved along y,
+    then along x, one bit of the code per half.  A bulk dof belongs to
+    the tree node of the longest common prefix of the least and the
+    greatest code over its triangles, the smallest cell that holds all
+    of them, so the dofs on a cut are the separator of that node.  The nodes are taken in post-order, by the code of
+    the last leaf under them with deeper nodes first on a tie, and the
+    dofs of one node in their own order.  A multiplier dof comes right
+    after the last bulk dof of the triangles of the facets it couples
+    to, so its pivot is met after the bulk block it borders.
+    """
+    mesh, td = space.mesh, space.tri_dofs
+    t = mesh.triangles.T
+    # three times the centroids, per axis: the quantization is scale-free
+    c = [v[t[0]] + v[t[1]] + v[t[2]] for v in mesh.vertices.T]
+    lo = [axis.min() for axis in c]
+    side = max(axis.max() - low for axis, low in zip(c, lo))
+    scale = ((1 << 26) - 1) / side if side > 0 else 0.0
+    code = _morton([((axis - low) * scale).astype(np.int64)
+                    for axis, low in zip(c, lo)])
+    # the least and greatest code over the triangles of each dof
+    dofs, codes = td.ravel(), np.repeat(code, td.shape[1])
+    cmin = np.full(space.ndof, np.iinfo(np.int64).max)
+    np.minimum.at(cmin, dofs, codes)
+    cmax = np.zeros(space.ndof, dtype=np.int64)
+    np.maximum.at(cmax, dofs, codes)
+    # the codes have 52 bits, so the difference is exact in float64 and
+    # frexp gives its bit length: the bits below the common prefix
+    free = np.frexp((cmin ^ cmax).astype(float))[1].astype(np.int64)
+    last_leaf = cmin | ((1 << free) - 1)
+    # post-order: sort by last leaf, then depth; free < 64 fits below
+    # the 52-bit leaf shifted by 6
+    order = np.argsort((last_leaf << 6) | free, kind="stable")
+    if multiplier_space is None:
+        return order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    facet_last = rank[td[mesh.bf_tri]].max(axis=1)
+    fd = multiplier_space.facet_dofs
+    after = np.full(multiplier_space.ndof, -1, dtype=np.int64)
+    np.maximum.at(after, fd, np.broadcast_to(facet_last[:, None], fd.shape))
+    return np.argsort(np.concatenate([2 * rank, 2 * after + 1]),
+                      kind="stable")
 
 
 def _blocks(n, size=_BLOCK):
@@ -387,46 +471,48 @@ def solve(system, constraint=None):
     line; its arguments are a dict with the order n and the nonzeros
     nnz of the factored (bordered) system, the factor's lu_nnz, the
     factor time factor_s, the residual-to-bound ratio res_ratio, the
-    column ordering and the pivot_ratio min|U_ii|/max|U_ii| (None when
-    the pivot check is skipped).
+    ordering ("dissection", or "natural" when system.order is None) and
+    the pivot_ratio min|U_ii|/max|U_ii| (None when the pivot check is
+    skipped).
 
-    The system is renumbered by reverse Cuthill-McKee and factored once,
-    as one permuted CSC copy, on which the residual is also computed.
-    The column ordering follows the structure of the unbordered matrix:
-    - a full diagonal (stiffness, Nitsche, the bordered dual-norm
-      reference systems): minimum degree on A^T + A with diagonal
-      pivoting preferred.  The P4 reference system of Franke, Nitsche
-      k=2 on 64x64 (88k unknowns) factors in about 0.5 s with 7-8M
-      nonzeros, against 1.45 s / 20.4M under COLAMD, 17.9 s / 60.0M
-      under minimum degree on A^T A, and 2.46 s / 15.1M without the
-      renumbering.
-    - a zero on the diagonal (the multiplier block of a saddle system):
-      minimum degree on A^T A with SuperLU's default pivoting, since
-      the off-diagonal pivots undo a symmetric ordering.  P2 bulk
-      against a P0 multiplier on 64x64 factors in 0.14 s with 2.5M
-      nonzeros, against 0.77 s / 6.1M under the first rule.
-    Times are from one core of a 2-core x86-64 machine.
+    The unknowns are eliminated in the order system.order, with the
+    border of a constraint last, and the system is factored once, as
+    one permuted CSC copy, on which the residual is also computed.
+    SuperLU keeps the order (its NATURAL column order, which scipy runs
+    in symmetric mode) and prefers diagonal pivots (threshold 0.1).  In
+    the dissection order a multiplier dof follows the bulk dofs it
+    couples to, so its zero diagonal has filled in by the time it is
+    eliminated.  Against reverse Cuthill-McKee followed by SuperLU's
+    minimum degree (on A^T + A, or on A^T A with default pivoting for a
+    saddle system), LU nonzeros and factor time:
+    - E1 of Franke, Nitsche k=2 on 64x64, P4 on the band (88 450
+      unknowns): 7.05M -> 6.87M, 0.50 s -> 0.32 s;
+    - E1 at the last step of the Franke AMR benchmark (P3, 40 409):
+      2.57M -> 2.15M, 0.17 s -> 0.08 s;
+    - P2 bulk against a P0 multiplier on 64x64 (16 897): 2.54M ->
+      1.87M, 0.20 s -> 0.09 s;
+    - Nitsche P2 on 64x64 (16 641): 1.34M -> 1.07M, 0.08 s -> 0.04 s.
+    Times are medians of three factorizations on one core of a 2-core
+    x86-64 machine.  The ordering itself costs 0.1-0.7 ms for P1
+    systems of up to 3000 unknowns and 4-8 ms at 88 450.
     """
     A = system.matrix
     b = system.rhs
     n = A.shape[0]
-    if A.diagonal().all():
-        ordering = "MMD_AT_PLUS_A"
-        opts = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+    if system.order is None:
+        ordering, perm = "natural", np.arange(n)
     else:
-        ordering, opts = "MMD_ATA", {}
+        ordering, perm = "dissection", system.order
     if constraint is not None:
         A_aug = _bordered(A, np.asarray(constraint, dtype=float))
         b_aug = np.concatenate([b, [0.0]])
+        perm = np.append(perm, n)
     else:
         A_aug, b_aug = A, b
-    # every system assembled here has a symmetric pattern; on any other
-    # the result is still a permutation, if a weaker pre-order
-    perm = reverse_cuthill_mckee(A_aug, symmetric_mode=True)
     # P A P^T: gather the rows, renumber the columns; the conversion to
     # CSC sorts them
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
+    inv = np.empty(len(perm), dtype=A_aug.indices.dtype)
+    inv[perm] = np.arange(len(perm), dtype=inv.dtype)
     rows = A_aug[perm]
     P = sparse.csr_matrix((rows.data, inv[rows.indices], rows.indptr),
                           shape=rows.shape).tocsc()
@@ -434,7 +520,7 @@ def solve(system, constraint=None):
     del A_aug, rows
     t0 = time.perf_counter()
     try:
-        lu = splu(P, permc_spec=ordering, **opts)
+        lu = splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.1)
         factor_s = time.perf_counter() - t0
         y = lu.solve(b_aug[perm])
     except RuntimeError as exc:  # factorization breakdown

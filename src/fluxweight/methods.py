@@ -45,7 +45,9 @@ class ProblemSpec:
     All callables are vectorized over numpy arrays.  grad_u and grad_a
     return arrays with a trailing axis of length 2.  The exact solution
     and its gradient are optional; when present, g defaults to the trace
-    of u and the exact flux to a * grad(u) . n.
+    of u and the exact flux to a * grad(u) . n.  `solution` returns
+    (u, grad_u) from one evaluation; u and grad_u default to its parts,
+    and when g is u, boundary_values reads both from one call.
     """
 
     name: str
@@ -56,12 +58,19 @@ class ProblemSpec:
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
     g: Optional[Callable] = None
+    solution: Optional[Callable] = None
     # Gauss sums of the boundary data over dyadic cells, filled and read
     # by norms.sample_to_dyadic; it lives as long as this instance
     dyadic_cache: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
 
     def __post_init__(self):
+        both = self.solution
+        if both is not None:
+            if self.u is None:
+                self.u = lambda x, y: both(x, y)[0]
+            if self.grad_u is None:
+                self.grad_u = lambda x, y: both(x, y)[1]
         if self.g is None:
             if self.u is None:
                 raise ValueError("either g or the exact solution must be given")
@@ -75,8 +84,15 @@ class ProblemSpec:
         """a * grad(u) . n at boundary points with outward normal (nx, ny)."""
         if self.grad_u is None:
             raise ValueError(f"problem {self.name!r} has no exact flux")
-        gu = self.grad_u(x, y)
-        return self.a(x, y) * (gu[..., 0] * nx + gu[..., 1] * ny)
+        return _normal_flux(self.a(x, y), self.grad_u(x, y), nx, ny)
+
+    def boundary_values(self, x, y, nx, ny):
+        """(exact flux, g) at boundary points with outward normal
+        (nx, ny), from one call of `solution` when g is u."""
+        if self.solution is None or self.g is not self.u:
+            return self.exact_flux(x, y, nx, ny), self.g(x, y)
+        u, gu = self.solution(x, y)
+        return _normal_flux(self.a(x, y), gu, nx, ny), u
 
     def g_tangential(self, mesh, t):
         """Tangential derivative of g at the parameters t on every
@@ -93,6 +109,10 @@ class ProblemSpec:
         ds = (t1 - t0) * mesh.bf_len[:, None]
         return (self.g(p1[..., 0], p1[..., 1])
                 - self.g(p0[..., 0], p0[..., 1])) / ds
+
+
+def _normal_flux(a, gu, nx, ny):
+    return a * (gu[..., 0] * nx + gu[..., 1] * ny)
 
 
 def verify_problem(problem, n_points=100, step=1e-5, rtol=1e-4, seed=7):
@@ -206,7 +226,6 @@ class DiscreteSolution:
     degree: Optional[int] = None
     f_integral: float = np.nan
     abs_f_integral: float = np.nan
-    extras: dict = field(default_factory=dict)
 
     @property
     def mesh(self):
@@ -323,7 +342,8 @@ def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
     K = fem.assemble_matrix((nb + nm, nb + nm), terms)
     G = fem.facet_vector(nm, bspace.facet_dofs, mvals, gv * lenw)
     x = fem.solve(SparseSystem(K, np.concatenate([F, -G]),
-                               symmetric=alpha == 0 or sign == -1))
+                               symmetric=alpha == 0 or sign == -1,
+                               order=fem.dissection_order(space, bspace)))
     return DiscreteSolution(method, problem, space, x[:nb],
                             multiplier_space=bspace, multiplier=x[nb:],
                             alpha=alpha if alpha > 0 else None, sign=sign,
@@ -372,7 +392,7 @@ def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1, degree=None):
     # the data g enters against sign * a dn(v) + gamma/h_F v
     rhs = F + fem.facet_vector(n, dofs, sign * adn + gamma / hF[..., None]
                                * vals, gv * lenw)
-    x = fem.solve(SparseSystem(K, rhs))
+    x = fem.solve(SparseSystem(K, rhs, order=fem.dissection_order(space)))
     return DiscreteSolution(NITSCHE, problem, space, x,
                             gamma=gamma, sign=sign, **loads)
 

@@ -163,7 +163,9 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
     cell.  When with_data, "g" holds sum_q w_q g(x_q), and "a" the value
     of a if it is the same at every point, else an array of its values
     of shape (len(gp), 2^M).  Kept in problem.dyadic_cache under
-    (polygon, M), computed once, in chunks of cells.  A cell that a
+    (polygon, M), computed once, in chunks of cells; when lam and g are
+    both computed, they come from one evaluation of the exact solution
+    per point (ProblemSpec.boundary_values).  A cell that a
     corner cuts gets values from the side of each point;
     sample_to_dyadic never reads them, since corners are facet ends.
     """
@@ -191,12 +193,18 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
             t = (s - cum[side]) / side_len[side]
             x = polygon[side, 0] + t * side_vec[side, 0]
             y = polygon[side, 1] + t * side_vec[side, 1]
+            nx = side_vec[side, 1] / side_len[side]
+            ny = -side_vec[side, 0] / side_len[side]
+            if need_lam and need_data:
+                lam_q, g_q = problem.boundary_values(x, y, nx, ny)
+            elif need_lam:
+                lam_q = problem.exact_flux(x, y, nx, ny)
+            else:
+                g_q = problem.g(x, y)
             if need_lam:
-                nx = side_vec[side, 1] / side_len[side]
-                ny = -side_vec[side, 0] / side_len[side]
-                lam[cells] += gw[q] * problem.exact_flux(x, y, nx, ny)
+                lam[cells] += gw[q] * lam_q
             if need_data:
-                g[cells] += gw[q] * problem.g(x, y)
+                g[cells] += gw[q] * g_q
                 av = np.broadcast_to(problem.a(x, y), x.shape)
                 if a0 is None:
                     a0 = float(av[0])
@@ -406,7 +414,9 @@ def neumann_dual_error(delta, fine_mesh, order):
     A = fem.assemble_stiffness(space, a=None, degree=2 * (order - 1) + 2)
     b = boundary_dual_load(space, delta, degree=2 * order + 4)
     c = fem.boundary_integral_vector(space, degree=2 * order)
-    x = fem.solve(SparseSystem(A, b, symmetric=True), constraint=c)
+    x = fem.solve(SparseSystem(A, b, symmetric=True,
+                               order=fem.dissection_order(space)),
+                  constraint=c)
     energy = float(x @ (A @ x))
     e1 = math.sqrt(max(energy, 0.0))
     pairing = float(b @ x)

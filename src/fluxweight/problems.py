@@ -70,20 +70,22 @@ def _zeros2(x, y):
 
 
 def _franke():
-    # each callable sums only the part it returns
+    # u sums only the values; solution the values and the gradient
     def u(x, y):
         val = np.zeros_like(np.asarray(x, dtype=float))
         for e, _ in _franke_terms(x, y, derivatives=False):
             val += e
         return val
 
-    def grad_u(x, y):
-        gx = np.zeros_like(np.asarray(x, dtype=float))
-        gy = np.zeros_like(gx)
+    def solution(x, y):
+        val = np.zeros_like(np.asarray(x, dtype=float))
+        gx = np.zeros_like(val)
+        gy = np.zeros_like(val)
         for e, (px, py, _, _) in _franke_terms(x, y):
+            val += e
             gx += e * px
             gy += e * py
-        return np.stack([gx, gy], axis=-1)
+        return val, np.stack([gx, gy], axis=-1)
 
     def f(x, y):
         lap = np.zeros_like(np.asarray(x, dtype=float))
@@ -92,7 +94,7 @@ def _franke():
         return -lap
 
     return ProblemSpec("franke", "unit-square", _ones, _zeros2, f,
-                       u=u, grad_u=grad_u)
+                       u=u, solution=solution)
 
 
 def _varcoef_peak():
@@ -110,12 +112,9 @@ def _varcoef_peak():
                            2.0 * np.pi * np.pi)
         return np.stack([fac * x, fac * y], axis=-1)
 
-    def u(x, y):
-        return _gauss_peak(x, y)[0]
-
-    def grad_u(x, y):
-        _, gx, gy, _ = _gauss_peak(x, y)
-        return np.stack([gx, gy], axis=-1)
+    def solution(x, y):
+        e, gx, gy, _ = _gauss_peak(x, y)
+        return e, np.stack([gx, gy], axis=-1)
 
     def f(x, y):
         _, gx, gy, lap = _gauss_peak(x, y)
@@ -123,7 +122,7 @@ def _varcoef_peak():
         return -(a(x, y) * lap + ga[..., 0] * gx + ga[..., 1] * gy)
 
     return ProblemSpec("varcoef-peak", "unit-square", a, grad_a, f,
-                       u=u, grad_u=grad_u)
+                       solution=solution)
 
 
 def _corner_angle(x, y):
@@ -146,20 +145,17 @@ def _corner_singular(x, y):
 
 
 def _lshape_singular():
-    def u(x, y):
-        return _corner_singular(x, y)[0] + _gauss_peak(x, y)[0]
-
-    def grad_u(x, y):
-        _, sx, sy = _corner_singular(x, y)
-        _, gx, gy, _ = _gauss_peak(x, y)
-        return np.stack([sx + gx, sy + gy], axis=-1)
+    def solution(x, y):
+        sv, sx, sy = _corner_singular(x, y)
+        e, gx, gy, _ = _gauss_peak(x, y)
+        return sv + e, np.stack([sx + gx, sy + gy], axis=-1)
 
     def f(x, y):
         # the singular part is harmonic: only the peak contributes
         return -_gauss_peak(x, y)[3]
 
     return ProblemSpec("lshape-singular", "l-shape", _ones, _zeros2, f,
-                       u=u, grad_u=grad_u)
+                       solution=solution)
 
 
 _REGISTRY = {

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from fluxweight import fem
 from fluxweight.mesh import Mesh, build_unit_square, refine
@@ -194,6 +196,24 @@ def exact_flux_integral_defect(solution, degree=16):
     lam_h = solution.flux_values(frep, trep)
     lenw = np.tile(w, len(facets)) * mesh.bf_len[frep]
     return float(((lam - lam_h) * lenw).sum())
+
+
+def minimum_degree_lu_nnz(A, constraint=None):
+    """lu.nnz of a matrix (bordered by the constraint vector, if given)
+    under reverse Cuthill-McKee and SuperLU's minimum degree: on A^T + A
+    with diagonal pivoting when the unbordered diagonal is full, else on
+    A^T A with SuperLU's default pivoting.  The fill oracle for
+    fem.dissection_order."""
+    if A.diagonal().all():
+        spec = "MMD_AT_PLUS_A"
+        opts = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+    else:
+        spec, opts = "MMD_ATA", {}
+    if constraint is not None:
+        c = sparse.csr_matrix(np.asarray(constraint, dtype=float)[None, :])
+        A = sparse.bmat([[A, c.T], [c, None]], format="csr")
+    perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
+    return splu(A[perm][:, perm].tocsc(), permc_spec=spec, **opts).nnz
 
 
 @pytest.fixture(scope="session")

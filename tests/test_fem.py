@@ -6,12 +6,13 @@ from scipy import sparse
 
 from fluxweight import fem
 from fluxweight.elements import reference_element
-from fluxweight.mesh import boundary_band, build_unit_square, uniform_refine
+from fluxweight.mesh import (boundary_band, build_lshape, build_unit_square,
+                             uniform_refine)
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule, triangle_rule
 
 from conftest import (coo_stiffness, distorted_square4, eval_cells,
-                      facet_point_basis, interpolate)
+                      facet_point_basis, interpolate, minimum_degree_lu_nnz)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -242,17 +243,57 @@ def test_exactly_singular_factor_reported_singular():
 
 def test_solve_statistics(caplog, monkeypatch, square4):
     sp = fem.FeSpace(square4, 2)
-    system = fem.SparseSystem(fem.assemble_stiffness(sp)
-                              + sparse.eye(sp.ndof), np.ones(sp.ndof))
+    A = fem.assemble_stiffness(sp) + sparse.eye(sp.ndof)
     with caplog.at_level("INFO", logger="fluxweight.fem"):
-        fem.solve(system)
+        fem.solve(fem.SparseSystem(A, np.ones(sp.ndof),
+                                   order=fem.dissection_order(sp)))
         monkeypatch.setattr(fem, "PIVOT_CHECK_MAX_NNZ", 0)
-        fem.solve(system)
+        fem.solve(fem.SparseSystem(A, np.ones(sp.ndof)))
     checked, skipped = [r.args for r in caplog.records
                         if r.name == "fluxweight.fem"]
-    assert checked["ordering"] == skipped["ordering"] == "MMD_AT_PLUS_A"
+    assert checked["ordering"] == "dissection"
+    assert skipped["ordering"] == "natural"
     assert 0.0 < checked["pivot_ratio"] <= 1.0
     assert skipped["pivot_ratio"] is None
+
+
+def test_solve_order_must_be_a_permutation():
+    A = sparse.eye(3, format="csr")
+    for order in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="permutation"):
+            fem.SparseSystem(A, np.ones(3), order=order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("mesh", ["square", "band", "lshape"])
+def test_dissection_order_is_a_permutation(order, mesh):
+    m = {"square": lambda: build_unit_square(8),
+         "band": lambda: boundary_band(build_unit_square(4)),
+         "lshape": lambda: build_lshape(4)}[mesh]()
+    sp = fem.FeSpace(m, order)
+    perm = fem.dissection_order(sp)
+    assert np.array_equal(np.sort(perm), np.arange(sp.ndof))
+    bspace = fem.BoundarySpace(m, order, continuous=True)
+    perm = fem.dissection_order(sp, bspace)
+    assert np.array_equal(np.sort(perm), np.arange(sp.ndof + bspace.ndof))
+
+
+def test_dissection_separator_last():
+    # the first cut halves the bounding square of the centroids along y
+    # (y takes the top bit of the Morton code): on the 8x8 square it is
+    # the line y = 1/2, which no centroid lies on.  The dofs of triangles
+    # on both sides of it are eliminated after all others.
+    m = build_unit_square(8)
+    sp = fem.FeSpace(m, 2)
+    upper = m.vertices[m.triangles][:, :, 1].mean(axis=1) > 0.5
+    sides = np.zeros((sp.ndof, 2), dtype=bool)
+    for side in (0, 1):
+        sides[sp.tri_dofs[upper == bool(side)], side] = True
+    position = np.empty(sp.ndof, dtype=np.int64)
+    position[fem.dissection_order(sp)] = np.arange(sp.ndof)
+    shared = sides.all(axis=1)
+    assert shared.sum() == 8 * 2 + 1
+    assert position[shared].min() > position[~shared].max()
 
 
 def test_symmetry_flag_verified():
@@ -284,8 +325,10 @@ def test_pure_neumann_constrained_solve(square4):
 
 @pytest.mark.parametrize("reference", ["uniform", "band"])
 def test_reference_solve_fill_bounded(reference, caplog):
-    # the bordered E1 systems at P3 and P4 factor with lu.nnz <= 8 nnz(A)
-    # (at most 3.7x measured); SuperLU's natural column order exceeds it
+    # the bordered E1 systems at P3 and P4 factor in the dissection order
+    # with lu.nnz <= 5 nnz(A) (at most 3.5x measured; SuperLU's natural
+    # order exceeds 8x), and within 5% of reverse Cuthill-McKee with
+    # minimum degree on A^T + A (0.92-1.006 of it measured)
     base = build_unit_square(16)
     m = uniform_refine(base, 2) if reference == "uniform" else \
         boundary_band(base)
@@ -296,12 +339,16 @@ def test_reference_solve_fill_bounded(reference, caplog):
         b = np.random.default_rng(order).standard_normal(sp.ndof)
         with caplog.at_level("INFO", logger="fluxweight.fem"):
             caplog.clear()
-            fem.solve(fem.SparseSystem(A, b, symmetric=True), constraint=c)
+            fem.solve(fem.SparseSystem(A, b, symmetric=True,
+                                       order=fem.dissection_order(sp)),
+                      constraint=c)
         (rec,) = [r for r in caplog.records if r.name == "fluxweight.fem"]
         stats = rec.args
         assert stats["n"] == sp.ndof + 1
+        assert stats["ordering"] == "dissection"
         assert stats["res_ratio"] <= 1.0
-        assert stats["lu_nnz"] <= 8 * stats["nnz"], stats
+        assert stats["lu_nnz"] <= 5 * stats["nnz"], stats
+        assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(A, c), stats
 
 
 def test_interpolation_reproduces_polynomials(square4):

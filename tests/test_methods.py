@@ -12,7 +12,8 @@ from fluxweight.quadrature import segment_rule
 from conftest import (assemble_grad_load, bulk_trace, coo_stiffness,
                       distorted_square4, exact_flux_integral_defect,
                       facet_point_basis, facet_point_pair, interpolate,
-                      make_linear_problem, multiplier_values)
+                      make_linear_problem, minimum_degree_lu_nnz,
+                      multiplier_values)
 
 
 def exact_flux_on_facets(problem, mesh, t=0.5):
@@ -243,7 +244,9 @@ def test_g_tangential_differences_match_analytic():
     p = problem_data("franke")
     t, _ = segment_rule(8)
     exact = p.g_tangential(m, t)
-    fd = dataclasses.replace(p, grad_u=None).g_tangential(m, t)
+    no_grad = dataclasses.replace(p, grad_u=None, solution=None)
+    assert no_grad.grad_u is None
+    fd = no_grad.g_tangential(m, t)
     assert exact.shape == fd.shape == (m.num_boundary_facets, len(t))
     assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
 
@@ -339,15 +342,44 @@ def test_system_matrix_matches_separate_terms(method, kw, gentle_problem,
     assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_saddle_solve_fill_guard(caplog):
-    # P2 bulk against a P0 multiplier: the zero multiplier block selects
-    # minimum degree on A^T A, at 12.9x fill (31.8x under MMD(A^T + A))
+def test_saddle_solve_fill_guard(caplog, monkeypatch):
+    # P2 bulk against a P0 multiplier in the dissection order: 9.7x fill,
+    # 0.74 of reverse Cuthill-McKee with minimum degree on A^T A
+    solve, seen = fem.solve, []
+    monkeypatch.setattr(fem, "solve", lambda system: seen.append(
+        system.matrix) or solve(system))
     with caplog.at_level("INFO", logger="fluxweight.fem"):
         methods.solve_lagrange(problem_data("varcoef-peak"),
                                build_unit_square(64), k=2, kprime=0)
     (stats,) = [r.args for r in caplog.records if r.name == "fluxweight.fem"]
-    assert stats["ordering"] == "MMD_ATA"
-    assert stats["lu_nnz"] <= 16 * stats["nnz"], stats
+    assert stats["ordering"] == "dissection"
+    assert stats["lu_nnz"] <= 12 * stats["nnz"], stats
+    assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(seen[0]), stats
+
+
+@pytest.mark.parametrize("kprime,continuous", [(0, False), (2, True)])
+def test_multiplier_dofs_follow_their_bulk_dofs(kprime, continuous,
+                                                monkeypatch):
+    # each multiplier dof is eliminated right after the last bulk dof of
+    # the triangles of the facets it couples to (both facets for a shared
+    # vertex dof of a continuous multiplier)
+    mesh = distorted_square4()
+    seen = []
+    monkeypatch.setattr(fem, "solve", lambda system: seen.append(
+        system) or np.zeros(len(system.rhs)))
+    sol = methods.solve_lagrange(problem_data("franke"), mesh, k=2,
+                                 kprime=kprime, continuous=continuous)
+    (system,) = seen
+    nb, fd = sol.space.ndof, sol.multiplier_space.facet_dofs
+    position = np.empty(len(system.rhs), dtype=np.int64)
+    position[system.order] = np.arange(len(system.rhs))
+    bulk_last = position[sol.space.tri_dofs[mesh.bf_tri]].max(axis=1)
+    assert (position[nb + fd] > bulk_last[:, None]).all()
+    # no bulk dof comes between that last one and the multiplier dof
+    last = np.zeros(sol.multiplier_space.ndof, dtype=np.int64)
+    np.maximum.at(last, fd, np.broadcast_to(bulk_last[:, None], fd.shape))
+    bulk_seen = np.cumsum(system.order < nb)
+    assert np.array_equal(bulk_seen[position[nb:]], bulk_seen[last])
 
 
 @pytest.mark.parametrize("method", ["nitsche", "lagrange", "barbosa-hughes"])

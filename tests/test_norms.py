@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxweight import fem, methods, norms
+from fluxweight import fem, methods, norms, problems
 from fluxweight.mesh import (boundary_band, build_domain_mesh,
                              build_graded_mesh, build_unit_square,
                              uniform_refine)
@@ -410,6 +410,33 @@ def test_multiplier_flux_caches_only_the_exact_flux(square4):
     sample_to_dyadic(flux_error_function(sol), 8)
     assert set(problem.dyadic_cache[(square4.polygon.tobytes(), 8)]) \
         == {"lam"}
+
+
+def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
+    # the Nitsche cache of Franke's problem evaluates the four terms once
+    # per chunk of cells and Gauss point, for the exact flux and g
+    # together, and caches the same sums as separate evaluations do
+    M = 15
+    gp, gw = segment_rule(5)
+    passes = []
+    terms = problems._franke_terms
+
+    def counting(x, y, derivatives=True):
+        passes.append(len(x))
+        return terms(x, y, derivatives)
+
+    monkeypatch.setattr(problems, "_franke_terms", counting)
+    one_pass = norms._dyadic_boundary_data(
+        problem_data("franke"), square4.polygon, M, gp, gw, with_data=True)
+    assert passes == [norms._CHUNK] * (len(gp) * (1 << M) // norms._CHUNK)
+    separate = problem_data("franke")
+    norms._dyadic_boundary_data(separate, square4.polygon, M, gp, gw,
+                                with_data=False)
+    norms._dyadic_boundary_data(separate, square4.polygon, M, gp, gw,
+                                with_data=True)
+    ref = separate.dyadic_cache[(square4.polygon.tobytes(), M)]
+    assert np.array_equal(one_pass["lam"], ref["lam"])
+    assert np.array_equal(one_pass["g"], ref["g"])
 
 
 def test_franke_nitsche_cache_is_lean(square4):
