@@ -2,7 +2,9 @@
 and the sparse linear-solve contract.
 
 Bulk spaces support orders 1..4 (the discretization methods use 1 and 2;
-the higher orders back the reference solves of the dual-norm evaluator).
+the higher orders back the reference solves of the dual-norm evaluator,
+which condenses out the element-interior dofs: they are numbered last,
+after the skeleton_ndof vertex and edge dofs).
 Assembly is vectorized over element blocks with a deterministic
 reduction order.  Every system matrix is one conversion to CSR, with
 int32 indices, of its local matrices (assemble_matrix): per triangle,
@@ -65,7 +67,8 @@ class FeSpace:
     DOFs are enumerated vertices first, then (order-1) DOFs per global
     edge ordered from the lower- to the higher-numbered vertex, then
     element-interior DOFs.  This makes assembly deterministic and
-    mesh-order independent.
+    mesh-order independent.  The first skeleton_ndof DOFs are those of
+    the vertices and edges, the unknowns that static condensation keeps.
     """
 
     def __init__(self, mesh, order):
@@ -74,7 +77,8 @@ class FeSpace:
         self.element = reference_element(order)
         nv, ne, nt = mesh.num_vertices, len(mesh.edges), mesh.num_triangles
         p = order
-        self.ndof = nv + ne * (p - 1) + nt * self.element.n_interior_dofs
+        self.skeleton_ndof = nv + ne * (p - 1)
+        self.ndof = self.skeleton_ndof + nt * self.element.n_interior_dofs
 
         nloc = self.element.ndof
         td = np.empty((nt, nloc), dtype=np.int64)
@@ -92,11 +96,9 @@ class FeSpace:
                 td[:, col] = nv + eid * (p - 1) + slot
                 col += 1
         n_int = self.element.n_interior_dofs
-        if n_int:
-            base = nv + ne * (p - 1)
-            for i in range(n_int):
-                td[:, col] = base + np.arange(nt) * n_int + i
-                col += 1
+        for i in range(n_int):
+            td[:, col] = self.skeleton_ndof + np.arange(nt) * n_int + i
+            col += 1
         self.tri_dofs = td
 
         onb = np.zeros(self.ndof, dtype=bool)
@@ -485,10 +487,13 @@ def solve(system, constraint=None):
     eliminated.  Against reverse Cuthill-McKee followed by SuperLU's
     minimum degree (on A^T + A, or on A^T A with default pivoting for a
     saddle system), LU nonzeros and factor time:
-    - E1 of Franke, Nitsche k=2 on 64x64, P4 on the band (88 450
-      unknowns): 7.05M -> 6.87M, 0.50 s -> 0.32 s;
-    - E1 at the last step of the Franke AMR benchmark (P3, 40 409):
-      2.57M -> 2.15M, 0.17 s -> 0.08 s;
+    - E1 of Franke, Nitsche k=2 on 64x64, P4 on the band with its
+      interior unknowns condensed out (55 666 unknowns): 9.40M ->
+      5.95M, 0.69 s -> 0.23 s (uncondensed, 88 450 unknowns: 7.05M ->
+      6.87M, 0.43 s -> 0.35 s);
+    - E1 at the last step of the Franke AMR benchmark (P3, condensed,
+      31 573): 2.70M -> 1.97M, 0.16 s -> 0.07 s (uncondensed, 40 409:
+      2.57M -> 2.15M, 0.17 s -> 0.08 s);
     - P2 bulk against a P0 multiplier on 64x64 (16 897): 2.54M ->
       1.87M, 0.20 s -> 0.09 s;
     - Nitsche P2 on 64x64 (16 641): 1.34M -> 1.07M, 0.08 s -> 0.04 s.

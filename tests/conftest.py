@@ -4,7 +4,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from fluxweight import fem
+from fluxweight import fem, norms
 from fluxweight.mesh import Mesh, build_unit_square, refine
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
@@ -214,6 +214,20 @@ def minimum_degree_lu_nnz(A, constraint=None):
         A = sparse.bmat([[A, c.T], [c, None]], format="csr")
     perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
     return splu(A[perm][:, perm].tocsc(), permc_spec=spec, **opts).nnz
+
+
+def uncondensed_dual_error(delta, fine_mesh, order):
+    """E1 with every unknown of the order-`order` space in the factor:
+    the path of norms.neumann_dual_error before static condensation.
+    Returns (E1, dual load, constraint vector, space)."""
+    space = fem.FeSpace(fine_mesh, order)
+    A = fem.assemble_stiffness(space, degree=2 * (order - 1) + 2)
+    b = norms.boundary_dual_load(space, delta, degree=2 * order + 4)
+    c = fem.boundary_integral_vector(space, degree=2 * order)
+    x = fem.solve(fem.SparseSystem(A, b, symmetric=True,
+                                   order=fem.dissection_order(space)),
+                  constraint=c)
+    return float(np.sqrt(x @ (A @ x))), b, c, space
 
 
 @pytest.fixture(scope="session")

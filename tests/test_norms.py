@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from fluxweight import fem, methods, norms, problems
 from fluxweight.mesh import (boundary_band, build_domain_mesh,
-                             build_graded_mesh, build_unit_square,
-                             uniform_refine)
+                             build_graded_mesh, build_lshape,
+                             build_unit_square, uniform_refine)
 from fluxweight.norms import (BoundaryFunction, WaveletPyramid, dwt_step,
                               flux_error_function, sample_to_dyadic,
                               wavelet_norm, wavelet_norm_of_vector)
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
-from conftest import make_gentle_problem
+from conftest import (distorted_square4, make_gentle_problem,
+                      uncondensed_dual_error)
 
 
 def test_filter_taps_bit_for_bit():
@@ -235,6 +236,76 @@ def test_boundary_band_e1_matches_uniform_reference(square8):
     assert band == pytest.approx(full, rel=1e-6)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_condensed_stiffness_is_schur_complement(order):
+    # the interior dofs of different triangles do not couple, so the
+    # elementwise Schur complements assemble to the Schur complement of
+    # the full matrix on the vertex and edge dofs
+    sp = fem.FeSpace(distorted_square4(), order)
+    K = fem.assemble_stiffness(sp, degree=2 * order).toarray()
+    S = norms._condensed_stiffness(sp, degree=2 * order)
+    n = sp.skeleton_ndof
+    assert n == sp.mesh.num_vertices + (order - 1) * len(sp.mesh.edges)
+    assert S.shape == (n, n)
+    ref = K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n]) \
+        if n < sp.ndof else K
+    assert np.abs(S.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+    fem.SparseSystem(S, np.zeros(n), symmetric=True)
+    assert np.abs(S @ np.ones(n)).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _band_flux_error(domain):
+    mesh = build_unit_square(8) if domain == "square" else build_lshape(4)
+    problem = problem_data("franke" if domain == "square"
+                           else "lshape-singular")
+    sol = methods.solve_nitsche(problem, mesh, k=1)
+    return flux_error_function(sol), boundary_band(mesh)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_condensed_e1_matches_uncondensed(domain, order):
+    # the interior basis functions vanish on the boundary, so condensing
+    # them out changes E1 by round-off only: the dual load and the
+    # constraint have no weight on them
+    delta, band = _band_flux_error(domain)
+    full, b, c, space = uncondensed_dual_error(delta, band, order)
+    assert norms.neumann_dual_error(delta, band, order) == pytest.approx(
+        full, rel=1e-12)
+    n = space.skeleton_ndof
+    assert space.ndof - n == (band.num_triangles
+                              * (order - 1) * (order - 2) // 2)
+    assert np.abs(b[n:]).max() <= 1e-14 * np.abs(b).max()
+    assert np.abs(c[n:]).max() <= 1e-14 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_e1_factor_holds_no_interior_unknown(order, caplog):
+    # the factored system has the vertex and edge unknowns and the
+    # border of the constraint, and fills less than the full system
+    delta, band = _band_flux_error("square")
+    with caplog.at_level("INFO"):
+        caplog.clear()
+        uncondensed_dual_error(delta, band, order)
+        (full,) = [r.args for r in caplog.records
+                   if r.name == "fluxweight.fem"]
+        caplog.clear()
+        norms.neumann_dual_error(delta, band, order)
+        (solve,) = [r.args for r in caplog.records
+                    if r.name == "fluxweight.fem"]
+        (e1,) = [r.args for r in caplog.records
+                 if r.name == "fluxweight.norms"]
+    nv, ne = band.num_vertices, len(band.edges)
+    assert solve["n"] == nv + (order - 1) * ne + 1
+    assert solve["res_ratio"] <= 1.0
+    assert solve["lu_nnz"] < full["lu_nnz"]
+    assert e1["order"] == order
+    assert e1["triangles"] == band.num_triangles
+    assert e1["kept"] == solve["n"] - 1
+    assert e1["kept"] + e1["eliminated"] == full["n"] - 1
+    assert e1["gap"] <= 1e-12
+
+
 def test_boundary_dual_load_matches_pointwise_loop(square4):
     # a flux error of square4 that jumps at its facet ends, against the
     # P3 basis of square4 bisected twice; the loop locates every rule
@@ -414,8 +485,9 @@ def test_multiplier_flux_caches_only_the_exact_flux(square4):
 
 def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
     # the Nitsche cache of Franke's problem evaluates the four terms once
-    # per chunk of cells and Gauss point, for the exact flux and g
-    # together, and caches the same sums as separate evaluations do
+    # per chunk of cells, at every Gauss point of the chunk and for the
+    # exact flux and g together, and caches the same sums as separate
+    # evaluations do
     M = 15
     gp, gw = segment_rule(5)
     passes = []
@@ -428,7 +500,7 @@ def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
     monkeypatch.setattr(problems, "_franke_terms", counting)
     one_pass = norms._dyadic_boundary_data(
         problem_data("franke"), square4.polygon, M, gp, gw, with_data=True)
-    assert passes == [norms._CHUNK] * (len(gp) * (1 << M) // norms._CHUNK)
+    assert passes == [len(gp) * norms._CHUNK] * ((1 << M) // norms._CHUNK)
     separate = problem_data("franke")
     norms._dyadic_boundary_data(separate, square4.polygon, M, gp, gw,
                                 with_data=False)

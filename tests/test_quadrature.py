@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
-from fluxweight.quadrature import segment_rule, triangle_rule
+from fluxweight.quadrature import gauss_jacobi, segment_rule, triangle_rule
 
 
 def monomial_integral(a, b):
@@ -47,6 +49,23 @@ def test_segment_exactness(deg):
     assert (w > 0).all()
     for a in range(deg + 1):
         assert abs((w * pts**a).sum() - 1.0 / (a + 1)) < 1e-14
+
+
+@pytest.mark.parametrize("alpha, beta, exact", [
+    (1.0, 0.0, True), (2.0, 1.0, True), (0.0, 0.0, False),
+    (-0.5, 0.3, False)])
+def test_gauss_jacobi_matches_scipy(alpha, beta, exact):
+    # the triangle rules use alpha = 1, beta = 0 with n <= 7 points, and
+    # get scipy's rules bit for bit; scipy takes another route for
+    # alpha == beta, and its binomials round differently for
+    # non-integer alpha
+    for n in range(1, 9):
+        x, w = gauss_jacobi(n, alpha, beta)
+        xs, ws = roots_jacobi(n, alpha, beta)
+        if exact:
+            assert np.array_equal(x, xs) and np.array_equal(w, ws), n
+        assert np.abs(x - xs).max() <= 1e-15
+        assert np.abs(w - ws).max() <= 1e-14 * ws.max()
 
 
 def test_unsupported_degrees_rejected():
