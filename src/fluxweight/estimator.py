@@ -10,8 +10,9 @@ classical one with unit weights.
 
 Every boundary term reads u_h from its per-facet monomial trace
 (DiscreteSolution.trace): u_h, its tangential derivative and
-a dn(u_h) on a facet rule are one product of the trace rows with the
-rule's monomials, as is a multiplier flux.  The boundary residuals and
+a dn(u_h) on a facet rule are Horner evaluations of the trace rows
+(fem.monomial_values), and the discrete flux of every method comes
+from BoundaryFlux.values.  The boundary residuals and
 the vertex-patch terms share one pass over the facet rule, which
 evaluates g and its tangential derivative once.
 """
@@ -180,24 +181,22 @@ def _boundary_residuals(solution, degree):
     u, dn = solution.trace
 
     x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
-    gv = problem.g(x, y)
+    av, gv = problem.a(x, y), problem.g(x, y)
     dgt = problem.g_tangential(mesh, t)
-    uv = fem.monomial_values(u, t)
+    uv = fem.monomial_values(u[:, None], t)
     diff = uv - gv
     # ||v||_F^2 = L * sum_q w_q v_q^2: h^-1/2 ||.||_F drops the facet
     # length and h^1/2 ||.||_F gains one
     r3F = np.sqrt(np.einsum("nq,nq,q->n", diff, diff, w))
 
     du = u[:, 1:] * np.arange(1, u.shape[1])
-    tdiff = dgt - fem.monomial_values(du, t) / L[:, None]
+    tdiff = dgt - fem.monomial_values(du[:, None], t) / L[:, None]
     r2F = L * np.sqrt(np.einsum("nq,nq,q->n", tdiff, tdiff, w))
 
-    if solution.method == NITSCHE:
-        r1F = solution.gamma * r3F
-    else:
-        anu = problem.a(x, y) * fem.monomial_values(dn, t)
-        mis = fem.monomial_values(solution.flux.q, t) - anu
-        r1F = L * np.sqrt(np.einsum("nq,nq,q->n", mis, mis, w))
+    # lambda_h - a dn(u_h); for Nitsche this is gamma/h_F (g - u_h)
+    mis = (solution.flux.values(np.arange(nbf)[:, None], t, av, gv)
+           - av * fem.monomial_values(dn[:, None], t))
+    r1F = L * np.sqrt(np.einsum("nq,nq,q->n", mis, mis, w))
 
     phi = np.stack([1.0 - t, t], axis=1)                    # (nq, 2)
     Mloc = np.einsum("qi,qj,q->ij", phi, phi, w)[None] * L[:, None, None]

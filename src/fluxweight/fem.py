@@ -18,10 +18,10 @@ factorization with a verified residual.
 Every system is factored in one elimination order, a nested dissection
 of its own mesh (dissection_order): the tree of the Morton codes of the
 triangle centroids, whose cuts are mesh lines, taken in post-order, with
-each multiplier dof right after the bulk dofs of its facets' triangles
-and the border of a constraint last.  SuperLU keeps that order and gets
-large dense supernodes; see solve for the fill and the factor times
-against reverse Cuthill-McKee with minimum degree.
+each multiplier dof right after the bulk dofs of its facets'
+triangles.  SuperLU keeps that order and gets large dense supernodes;
+see solve for the fill and the factor times against reverse
+Cuthill-McKee with minimum degree.
 
 Bulk kernels do their per-point work on the reference element and map to
 physical coordinates once per triangle.  The stiffness matrix uses the
@@ -173,9 +173,14 @@ def monomial_coefficients(values, nodes):
 
 
 def monomial_values(rows, t):
-    """Rows of monomial coefficients in t (lowest degree first) at the
-    points t, shape (rows, len(t))."""
-    return rows @ np.vander(t, rows.shape[1], increasing=True).T
+    """Polynomials in t with their monomial coefficients (lowest degree
+    first) on the last axis of rows, evaluated by Horner's rule at t,
+    which broadcasts against rows[..., 0]."""
+    out = np.zeros(np.broadcast_shapes(rows.shape[:-1], np.shape(t)))
+    for j in range(rows.shape[-1] - 1, -1, -1):
+        out *= t
+        out += rows[..., j]
+    return out
 
 
 class BoundarySpace:
@@ -441,45 +446,24 @@ def boundary_integral_vector(space, degree=None):
                         w * space.mesh.bf_len[:, None])
 
 
-def _bordered(A, c):
-    """[[A, c], [c^T, 0]] in CSR, built from A's arrays: the border is
-    the last column, so each row's extra entry (where c is nonzero)
-    goes at its end."""
-    n = A.shape[0]
-    nz = np.flatnonzero(c)
-    counts = np.append(np.diff(A.indptr) + (c != 0), len(nz))
-    indptr = np.append(0, np.cumsum(counts)).astype(A.indptr.dtype)
-    border = np.append(indptr[nz + 1] - 1, np.arange(indptr[n], indptr[-1]))
-    inner = np.ones(indptr[-1], dtype=bool)
-    inner[border] = False
-    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[inner], data[inner] = A.indices, A.data
-    indices[border] = np.append(np.full(len(nz), n), nz)
-    data[border] = np.tile(c[nz], 2)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
-
-
-def solve(system, constraint=None):
+def solve(system):
     """Direct solve honoring the residual contract.
 
-    If `constraint` is a vector c, the solve enforces c.x = 0 through an
-    appended row/column (Lagrange multiplier).  Raises SolverError when
-    the factorization fails, when the factor is numerically singular
-    (min|U_ii| < 1e-12 max|U_ii|, checked on factors of at most
-    PIVOT_CHECK_MAX_NNZ nonzeros; SuperLU's exactly singular factor has
-    a zero pivot and is reported as such), or when the residual exceeds
-    1e-10 * (|b| + |A|*|x|).  Every solve that factors logs one INFO
-    line; its arguments are a dict with the order n and the nonzeros
-    nnz of the factored (bordered) system, the factor's lu_nnz, the
+    Raises SolverError when the factorization fails, when the factor is
+    numerically singular (min|U_ii| < 1e-12 max|U_ii|, checked on
+    factors of at most PIVOT_CHECK_MAX_NNZ nonzeros; SuperLU's exactly
+    singular factor has a zero pivot and is reported as such), or when
+    the residual exceeds 1e-10 * (|b| + |A|*|x|).  Every solve that
+    factors logs one INFO line; its arguments are a dict with the order
+    n and the nonzeros nnz of the system, the factor's lu_nnz, the
     factor time factor_s, the residual-to-bound ratio res_ratio, the
     ordering ("dissection", or "natural" when system.order is None) and
     the pivot_ratio min|U_ii|/max|U_ii| (None when the pivot check is
     skipped).
 
-    The unknowns are eliminated in the order system.order, with the
-    border of a constraint last, and the system is factored once, as
-    one permuted CSC copy, on which the residual is also computed.
+    The unknowns are eliminated in the order system.order, and the
+    system is factored once, as one permuted CSC copy, on which the
+    residual is also computed.
     SuperLU keeps the order (its NATURAL column order, which scipy runs
     in symmetric mode) and prefers diagonal pivots (threshold 0.1).  In
     the dissection order a multiplier dof follows the bulk dofs it
@@ -488,18 +472,18 @@ def solve(system, constraint=None):
     minimum degree (on A^T + A, or on A^T A with default pivoting for a
     saddle system), LU nonzeros and factor time:
     - E1 of Franke, Nitsche k=2 on 64x64, P4 on the band with its
-      interior unknowns condensed out (55 666 unknowns): 9.40M ->
-      5.95M, 0.69 s -> 0.23 s (uncondensed, 88 450 unknowns: 7.05M ->
-      6.87M, 0.43 s -> 0.35 s);
+      interior unknowns condensed out and one unknown pinned (55 665
+      unknowns): 8.60M -> 5.91M, 0.64 s -> 0.31 s (uncondensed, 88 449
+      unknowns: 7.08M -> 6.83M, 0.57 s -> 0.39 s);
     - E1 at the last step of the Franke AMR benchmark (P3, condensed,
-      31 573): 2.70M -> 1.97M, 0.16 s -> 0.07 s (uncondensed, 40 409:
-      2.57M -> 2.15M, 0.17 s -> 0.08 s);
+      31 572): 2.70M -> 1.95M, 0.18 s -> 0.11 s (uncondensed, 40 408:
+      2.44M -> 2.13M, 0.20 s -> 0.11 s);
     - P2 bulk against a P0 multiplier on 64x64 (16 897): 2.54M ->
       1.87M, 0.20 s -> 0.09 s;
     - Nitsche P2 on 64x64 (16 641): 1.34M -> 1.07M, 0.08 s -> 0.04 s.
     Times are medians of three factorizations on one core of a 2-core
     x86-64 machine.  The ordering itself costs 0.1-0.7 ms for P1
-    systems of up to 3000 unknowns and 4-8 ms at 88 450.
+    systems of up to 3000 unknowns and 4-8 ms at 88 449.
     """
     A = system.matrix
     b = system.rhs
@@ -508,26 +492,19 @@ def solve(system, constraint=None):
         ordering, perm = "natural", np.arange(n)
     else:
         ordering, perm = "dissection", system.order
-    if constraint is not None:
-        A_aug = _bordered(A, np.asarray(constraint, dtype=float))
-        b_aug = np.concatenate([b, [0.0]])
-        perm = np.append(perm, n)
-    else:
-        A_aug, b_aug = A, b
     # P A P^T: gather the rows, renumber the columns; the conversion to
     # CSC sorts them
-    inv = np.empty(len(perm), dtype=A_aug.indices.dtype)
-    inv[perm] = np.arange(len(perm), dtype=inv.dtype)
-    rows = A_aug[perm]
+    inv = np.empty(n, dtype=A.indices.dtype)
+    inv[perm] = np.arange(n, dtype=inv.dtype)
+    rows = A[perm]
     P = sparse.csr_matrix((rows.data, inv[rows.indices], rows.indptr),
                           shape=rows.shape).tocsc()
-    nnz = P.nnz
-    del A_aug, rows
+    del rows
     t0 = time.perf_counter()
     try:
         lu = splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.1)
         factor_s = time.perf_counter() - t0
-        y = lu.solve(b_aug[perm])
+        y = lu.solve(b[perm])
     except RuntimeError as exc:  # factorization breakdown
         if "exactly singular" in str(exc):
             raise SolverError(
@@ -538,9 +515,9 @@ def solve(system, constraint=None):
         raise SolverError("solver produced non-finite entries "
                           f"(n={n}, nnz={A.nnz})")
     # the norms do not depend on the renumbering
-    res = np.linalg.norm(P @ y - b_aug[perm])
+    res = np.linalg.norm(P @ y - b[perm])
     normA = np.abs(A.data).max(initial=0.0)
-    bound = 1e-10 * (np.linalg.norm(b_aug) + normA * np.linalg.norm(y))
+    bound = 1e-10 * (np.linalg.norm(b) + normA * np.linalg.norm(y))
     # a singular factor passes the residual bound, which grows with the
     # blown-up x; the permuted copy is released first, since reading U
     # copies both factors
@@ -552,7 +529,7 @@ def solve(system, constraint=None):
     log.info("solve: n=%(n)d nnz(A)=%(nnz)d lu.nnz=%(lu_nnz)d "
              "factor %(factor_s).3f s residual/bound %(res_ratio).2e "
              "ordering %(ordering)s pivot ratio %(pivot_ratio)s",
-             dict(n=len(b_aug), nnz=nnz, lu_nnz=lu.nnz, factor_s=factor_s,
+             dict(n=n, nnz=A.nnz, lu_nnz=lu.nnz, factor_s=factor_s,
                   res_ratio=res / max(bound, 1e-300), ordering=ordering,
                   pivot_ratio=pivot_ratio))
     if res > max(bound, 1e-300):
@@ -565,7 +542,7 @@ def solve(system, constraint=None):
             f"{pivot_ratio:.3e} (n={n}, nnz={A.nnz})")
     x = np.empty_like(y)
     x[perm] = y
-    return x[:n] if constraint is not None else x
+    return x
 
 
 def h1_seminorm_error(space, coeffs, grad_exact, degree=None):

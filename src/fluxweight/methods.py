@@ -5,9 +5,11 @@ approximation of the outward normal flux a*du/dn on the boundary) is
 either an explicit coefficient vector in a BoundarySpace (Lagrange
 multiplier and Barbosa-Hughes) or the Nitsche post-processing rule
 a*dn(u_h) + gamma/h_F * (g - u_h).  Both are held in one per-facet
-polynomial form, BoundaryFlux.  Outside assembly, the boundary values of
-u_h are read from one per-facet monomial form too, DiscreteSolution.trace,
-which the Nitsche flux and every estimator boundary term share.
+polynomial form, BoundaryFlux, whose one evaluator BoundaryFlux.values
+serves DiscreteSolution.flux_values, the compatibility defect and the
+estimator.  Outside assembly, the boundary values of u_h are read from
+one per-facet monomial form too, DiscreteSolution.trace, which the
+Nitsche flux and every estimator boundary term share.
 
 Every boundary term is integrated on arrays of shape (facets, rule
 points) as one local matrix per facet.  Each system matrix is one
@@ -115,68 +117,6 @@ def _normal_flux(a, gu, nx, ny):
     return a * (gu[..., 0] * nx + gu[..., 1] * ny)
 
 
-def verify_problem(problem, n_points=100, step=1e-5, rtol=1e-4, seed=7):
-    """Finite-difference check that -div(a grad u) = f at interior points.
-
-    Returns the worst normalized defect; raises if it exceeds rtol.
-    """
-    if not problem.has_exact:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    from .mesh import distance_to_boundary, domain_polygon
-    poly = domain_polygon(problem.domain)
-    lo, hi = poly.min(axis=0), poly.max(axis=0)
-    pts = []
-    while len(pts) < n_points:
-        cand = lo + (hi - lo) * rng.random((4 * n_points, 2))
-        d = distance_to_boundary(problem.domain, cand)
-        inside = _points_inside(problem.domain, cand) & (d > 5 * step)
-        if problem.domain == "l-shape":
-            r = np.hypot(cand[:, 0], cand[:, 1])
-            inside &= r > 0.05  # FD useless next to the corner singularity
-        pts.extend(cand[inside][: n_points - len(pts)])
-    pts = np.array(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    h = step
-
-    def u(xx, yy):
-        return problem.u(xx, yy)
-
-    ux = (u(x + h, y) - u(x - h, y)) / (2 * h)
-    uy = (u(x, y + h) - u(x, y - h)) / (2 * h)
-    lap = (u(x + h, y) + u(x - h, y) + u(x, y + h) + u(x, y - h)
-           - 4 * u(x, y)) / (h * h)
-    ga = problem.grad_a(x, y)
-    fd = -(problem.a(x, y) * lap + ga[..., 0] * ux + ga[..., 1] * uy)
-    fv = problem.f(x, y)
-    defect = np.abs(fd - fv) / (1.0 + np.abs(fv))
-    worst = float(defect.max())
-    if worst > rtol:
-        raise ValueError(
-            f"problem {problem.name!r} fails the PDE check: defect {worst:.2e}")
-    return worst
-
-
-def _points_inside(domain, pts):
-    if domain == "unit-square":
-        return ((pts[:, 0] > 0) & (pts[:, 0] < 1)
-                & (pts[:, 1] > 0) & (pts[:, 1] < 1))
-    if domain == "l-shape":
-        inside_box = ((pts[:, 0] > -1) & (pts[:, 0] < 1)
-                      & (pts[:, 1] > -1) & (pts[:, 1] < 1))
-        notch = (pts[:, 0] >= 0) & (pts[:, 1] <= 0)
-        return inside_box & ~notch
-    raise ValueError(domain)
-
-
-def _horner(coef, t):
-    """Rows of monomial coefficients (lowest first) evaluated at t."""
-    out = coef[:, -1]
-    for j in range(coef.shape[1] - 2, -1, -1):
-        out = out * t + coef[:, j]
-    return out
-
-
 @dataclass
 class BoundaryFlux:
     """Discrete flux lambda_h(f, t) = a(x) D_f(t) + c_f g(x) + Q_f(t).
@@ -192,20 +132,15 @@ class BoundaryFlux:
     d: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
 
-    def at(self, facet_ids):
-        """The rows of the given facets, one per entry of facet_ids."""
+    def values(self, facet_ids, t, a=None, g=None):
+        """lambda_h at the parameters t of the facets facet_ids, which
+        broadcast against t, given the values of a and g at those points
+        (ignored by multiplier fluxes)."""
+        lam = fem.monomial_values(self.q[facet_ids], t)
         if self.d is None:
-            return BoundaryFlux(np.take(self.q, facet_ids, axis=0))
-        return BoundaryFlux(np.take(self.q, facet_ids, axis=0),
-                            np.take(self.d, facet_ids, axis=0),
-                            self.c[facet_ids])
-
-    def combine(self, t, a=None, g=None):
-        """lambda_h at parameter t of each row's facet, given the values
-        of a and g there (ignored by multiplier fluxes)."""
-        if self.d is None:
-            return _horner(self.q, t)
-        return a * _horner(self.d, t) + self.c * g + _horner(self.q, t)
+            return lam
+        return (a * fem.monomial_values(self.d[facet_ids], t)
+                + self.c[facet_ids] * g + lam)
 
 
 @dataclass
@@ -271,15 +206,15 @@ class DiscreteSolution:
         return BoundaryFlux(-c[:, None] * u, dn, c)
 
     def flux_values(self, facet_ids, t):
-        """The discrete flux lambda_h at facet parameters."""
+        """The discrete flux lambda_h at the parameters t of the facets
+        facet_ids, which broadcast against t."""
         facet_ids = np.asarray(facet_ids, dtype=np.int64)
         t = np.asarray(t, dtype=float)
-        rows = self.flux.at(facet_ids)
-        if rows.d is None:
-            return rows.combine(t)
-        pts = self.mesh.boundary_points(facet_ids, t)
-        x, y = pts[:, 0], pts[:, 1]
-        return rows.combine(t, self.problem.a(x, y), self.problem.g(x, y))
+        if self.flux.d is None:
+            return self.flux.values(facet_ids, t)
+        x, y = np.moveaxis(self.mesh.boundary_points(facet_ids, t), -1, 0)
+        return self.flux.values(facet_ids, t, self.problem.a(x, y),
+                                self.problem.g(x, y))
 
 
 def _prologue(problem, mesh, k, degree):
@@ -404,14 +339,8 @@ def compatibility_defect(solution):
     integral(f), so the identity obtained by testing with v = 1 holds
     exactly.
     """
-    problem = solution.problem
     mesh = solution.mesh
     t, w = segment_rule(solution.degree)
-    flux = solution.flux
-    lam = fem.monomial_values(flux.q, t)
-    if flux.d is not None:
-        x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
-        lam += (problem.a(x, y) * fem.monomial_values(flux.d, t)
-                + flux.c[:, None] * problem.g(x, y))
-    int_lam = float((lam @ w) @ mesh.bf_len)
-    return int_lam + solution.f_integral
+    lam = solution.flux_values(
+        np.arange(mesh.num_boundary_facets)[:, None], t)
+    return float((lam @ w) @ mesh.bf_len) + solution.f_integral

@@ -4,24 +4,27 @@ E1 lifts the boundary residual through an auxiliary pure-Neumann
 problem solved with higher-order elements on a finer mesh and returns
 the energy of the lifting.  Its load integrates the residual on each
 facet of that mesh with one facet rule, so the facets must refine the
-residual's pieces.  The load and the mean-zero constraint live on the
-boundary, where the element-interior basis functions vanish, so those
-unknowns are condensed out before assembly and only the vertex and
-edge unknowns reach the factorization.  E2 expands cell averages of
-the residual on a dyadic boundary grid in a periodic
-(2,2)-biorthogonal wavelet basis and takes the weighted coefficient
-norm; the two are equivalent norms on the dual trace space.
+residual's pieces.  The load lives on the boundary, where the
+element-interior basis functions vanish, so those unknowns are
+condensed out before assembly and only the vertex and edge unknowns
+reach the factorization.  The load is projected to mean zero and one
+unknown is pinned, which fixes the additive constant of the lifting
+without changing its energy.  E2 expands cell averages of the residual
+on a dyadic boundary grid in a periodic (2,2)-biorthogonal wavelet
+basis and takes the weighted coefficient norm; the two are equivalent
+norms on the dual trace space.
 
 E2 of a flux error samples 2^M dyadic cells with the 3-point Gauss rule
 (exact to degree 5).  The first E2 of a problem instance caches, under
-(domain polygon, M), the Gauss sums over every cell of the exact flux
-and of g, and a as one number when it is the same everywhere (else at
-each Gauss point): two arrays of 2^M doubles for Franke's problem, one
-for a multiplier flux.  On the cells that lie inside one boundary
-facet, each step then turns the facet's Gauss-averaged discrete flux
-into one polynomial in the cell's index within the facet and expands
-it with one Horner pass, so that a step costs a handful of passes over
-the 2^M cells whatever the mesh.  The cells that a facet end cuts are
+(domain polygon, M, whether the flux reads a and g), the Gauss sums
+over every cell of the exact flux and, for a Nitsche flux, of g, and a
+as one number when it is the same everywhere (else at each Gauss
+point): two arrays of 2^M doubles for Franke's problem, one for a
+multiplier flux.  On the cells that lie inside one boundary facet,
+each step then turns the facet's Gauss-averaged discrete flux into one
+polynomial in the cell's index within the facet and expands it with
+one Horner pass, so that a step costs a handful of passes over the 2^M
+cells whatever the mesh.  The cells that a facet end cuts are
 integrated piece by piece with the same rule, as every cell of any
 other BoundaryFunction is.  M and the quadrature are those of the
 piecewise evaluation.
@@ -143,18 +146,14 @@ def _cut_pieces(total, n, breakpoints):
 
 def _integrate_pieces(v, left, right, owner, out, gp, gw):
     """Add the integral of v over each piece to out[owner]."""
-    mesh = v.mesh
     chunk = 1 << 18
     for lo in range(0, len(left), chunk):
         sl = slice(lo, min(lo + chunk, len(left)))
-        ln, rn, on = left[sl], right[sl], owner[sl]
-        length = rn - ln
-        facet = mesh.facet_of_s(0.5 * (ln + rn))
+        ln, on = left[sl], owner[sl]
+        length = right[sl] - ln
         acc = np.zeros(len(ln))
         for q in range(len(gp)):
-            s = ln + gp[q] * length
-            t = (s - mesh.bf_s0[facet]) / mesh.bf_len[facet]
-            acc += gw[q] * v.evaluate(facet, np.clip(t, 0.0, 1.0))
+            acc += gw[q] * v.eval_s(ln + gp[q] * length)
         np.add.at(out, on, acc * length)
 
 
@@ -166,29 +165,26 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
     on the polygon's boundary, for the rule (gp, gw) on each cell.
 
     "lam" holds sum_q w_q lam(x_q) of the exact flux, one entry per
-    cell.  When with_data, "g" holds sum_q w_q g(x_q), and "a" the value
-    of a if it is the same at every point, else an array of its values
-    of shape (len(gp), 2^M).  Kept in problem.dyadic_cache under
-    (polygon, M), computed once, in chunks of cells: the points, normals
-    and data of every rule point of a chunk in one pass.  When lam and
-    g are both computed, they come from one evaluation of the exact
-    solution (ProblemSpec.boundary_values).  A cell that a
-    corner cuts gets values from the side of each point;
-    sample_to_dyadic never reads them, since corners are facet ends.
+    cell.  When with_data (the flux reads a and g: Nitsche's), "g" holds
+    sum_q w_q g(x_q), and "a" the value of a if it is the same at every
+    point, else an array of its values of shape (len(gp), 2^M).  Kept in
+    problem.dyadic_cache under (polygon, M, with_data), computed once,
+    in chunks of cells: the points, normals and data of every rule point
+    of a chunk in one pass, with lam and g from one evaluation of the
+    exact solution (ProblemSpec.boundary_values).  A cell that a corner
+    cuts gets values from the side of each point; sample_to_dyadic never
+    reads them, since corners are facet ends.
     """
-    key = (polygon.tobytes(), M)
-    data = problem.dyadic_cache.setdefault(key, {})
-    need_lam = "lam" not in data
-    need_data = with_data and "a" not in data
-    if not (need_lam or need_data):
-        return data
+    key = (polygon.tobytes(), M, with_data)
+    if key in problem.dyadic_cache:
+        return problem.dyadic_cache[key]
     side_vec = np.roll(polygon, -1, axis=0) - polygon
     side_len = np.hypot(*side_vec.T)
     cum = np.concatenate([[0.0], np.cumsum(side_len)])
     n = 1 << M
     total = cum[-1]
-    lam = np.zeros(n) if need_lam else None
-    g = np.zeros(n) if need_data else None
+    lam = np.zeros(n)
+    g = np.zeros(n) if with_data else None
     a0 = a_pts = None
     for lo in range(0, n, _CHUNK):
         starts = total * np.arange(lo, min(lo + _CHUNK, n)) / n
@@ -208,18 +204,15 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
                 nx[q, run] = side_vec[k, 1] / side_len[k]
                 ny[q, run] = -side_vec[k, 0] / side_len[k]
         x, y, nx, ny = x.ravel(), y.ravel(), nx.ravel(), ny.ravel()
-        if need_lam and need_data:
+        if with_data:
             lam_q, g_q = problem.boundary_values(x, y, nx, ny)
-        elif need_lam:
-            lam_q = problem.exact_flux(x, y, nx, ny)
         else:
-            g_q = problem.g(x, y)
+            lam_q = problem.exact_flux(x, y, nx, ny)
         for q, w in enumerate(gw):
-            if need_lam:
-                lam[cells] += w * lam_q.reshape(s.shape)[q]
-            if need_data:
+            lam[cells] += w * lam_q.reshape(s.shape)[q]
+            if with_data:
                 g[cells] += w * g_q.reshape(s.shape)[q]
-        if need_data:
+        if with_data:
             av = np.broadcast_to(problem.a(x, y), x.shape).reshape(s.shape)
             if a0 is None:
                 a0 = float(av[0, 0])
@@ -227,11 +220,11 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
                 a_pts = np.full((len(gp), n), a0)
             if a_pts is not None:
                 a_pts[:, cells] = av
-    if need_lam:
-        data["lam"] = lam
-    if need_data:
+    data = {"lam": lam}
+    if with_data:
         data["g"] = g
         data["a"] = a0 if a_pts is None else a_pts
+    problem.dyadic_cache[key] = data
     return data
 
 
@@ -438,29 +431,46 @@ def _condensed_stiffness(space, degree):
     return fem.assemble_matrix((n, n), [(td, td, S)])
 
 
+def _pin(A, b, p):
+    """Make row and column p of the CSR matrix A the identity's and
+    b[p] = 0, in place.  For a singular A whose kernel is the constants
+    and a load b of zero sum, the solution is the one with x[p] = 0."""
+    A.data[A.indptr[p]:A.indptr[p + 1]] = 0.0
+    A.data[A.indices == p] = 0.0
+    A[p, p] = 1.0
+    b[p] = 0.0
+
+
 def neumann_dual_error(delta, fine_mesh, order):
     """E1: energy of the harmonic-type lifting of the boundary residual.
 
     Solves grad(w).grad(v) = <delta, v> on the fine mesh with elements
-    of the given order (coefficient 1) under a zero boundary-mean
-    constraint, and returns |grad w|.  The element-interior unknowns
-    are condensed out before assembly (_condensed_stiffness): their
-    basis functions vanish on the boundary, so neither the load nor the
-    constraint sees them, and the energy of w is that of its vertex and
-    edge part under the condensed matrix.  The duality pairing
-    <delta, w> is checked against the energy (they must agree within
-    1%).  Logs one INFO line: the order, the triangles, the unknowns
-    kept and eliminated, and the relative energy/pairing gap.  The
-    facets of fine_mesh must refine delta's pieces.
+    of the given order (coefficient 1) and returns |grad w|.  The load
+    is first projected to mean zero, b - (sum b / sum c) c with c the
+    boundary integrals of the basis, which removes what a multiplier
+    of the zero boundary-mean constraint would; the last unknown of
+    the dissection order is then pinned (_pin), so w is fixed up to the
+    constants, which change neither the energy nor the pairing.  The
+    element-interior unknowns are condensed out before assembly
+    (_condensed_stiffness): their basis functions vanish on the
+    boundary, so the load does not see them, and the energy of w is
+    that of its vertex and edge part under the condensed matrix.  The
+    duality pairing <delta, w> with the projected load is checked
+    against the energy (they must agree within 1%).  Logs one INFO
+    line: the order, the triangles, the unknowns kept and eliminated,
+    and the relative energy/pairing gap.  The facets of fine_mesh must
+    refine delta's pieces.
     """
     space = FeSpace(fine_mesh, order)
     n = space.skeleton_ndof
     A = _condensed_stiffness(space, degree=2 * (order - 1) + 2)
     b = boundary_dual_load(space, delta, degree=2 * order + 4)[:n]
     c = fem.boundary_integral_vector(space, degree=2 * order)[:n]
+    b -= b.sum() / c.sum() * c
     perm = fem.dissection_order(space)
-    x = fem.solve(SparseSystem(A, b, symmetric=True, order=perm[perm < n]),
-                  constraint=c)
+    perm = perm[perm < n]
+    _pin(A, b, perm[-1])
+    x = fem.solve(SparseSystem(A, b, symmetric=True, order=perm))
     energy = float(x @ (A @ x))
     e1 = math.sqrt(max(energy, 0.0))
     pairing = float(b @ x)

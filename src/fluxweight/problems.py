@@ -3,7 +3,7 @@
 Each entry carries hand-differentiated expressions for u, grad(u), the
 diffusion coefficient and its gradient, and the manufactured source
 f = -div(a grad u).  A finite-difference consistency test guards the
-algebra (see verify_problem).
+algebra (verify_problem in tests/conftest.py).
 """
 
 import numpy as np

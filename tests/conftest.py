@@ -5,7 +5,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from fluxweight import fem, norms
-from fluxweight.mesh import Mesh, build_unit_square, refine
+from fluxweight.mesh import (Mesh, build_unit_square, distance_to_boundary,
+                             domain_polygon, refine)
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
 
@@ -49,6 +50,59 @@ def make_gentle_problem():
 
     return ProblemSpec(name="gentle", domain="unit-square", a=a,
                        grad_a=grad_a, f=f, u=u, grad_u=grad_u)
+
+
+def verify_problem(problem, n_points=100, step=1e-5, rtol=1e-4, seed=7):
+    """Finite-difference check that -div(a grad u) = f at interior points.
+
+    Returns the worst normalized defect; raises if it exceeds rtol.
+    """
+    if not problem.has_exact:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    poly = domain_polygon(problem.domain)
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    pts = []
+    while len(pts) < n_points:
+        cand = lo + (hi - lo) * rng.random((4 * n_points, 2))
+        d = distance_to_boundary(problem.domain, cand)
+        inside = _points_inside(problem.domain, cand) & (d > 5 * step)
+        if problem.domain == "l-shape":
+            r = np.hypot(cand[:, 0], cand[:, 1])
+            inside &= r > 0.05  # FD useless next to the corner singularity
+        pts.extend(cand[inside][: n_points - len(pts)])
+    pts = np.array(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    h = step
+
+    def u(xx, yy):
+        return problem.u(xx, yy)
+
+    ux = (u(x + h, y) - u(x - h, y)) / (2 * h)
+    uy = (u(x, y + h) - u(x, y - h)) / (2 * h)
+    lap = (u(x + h, y) + u(x - h, y) + u(x, y + h) + u(x, y - h)
+           - 4 * u(x, y)) / (h * h)
+    ga = problem.grad_a(x, y)
+    fd = -(problem.a(x, y) * lap + ga[..., 0] * ux + ga[..., 1] * uy)
+    fv = problem.f(x, y)
+    defect = np.abs(fd - fv) / (1.0 + np.abs(fv))
+    worst = float(defect.max())
+    if worst > rtol:
+        raise ValueError(
+            f"problem {problem.name!r} fails the PDE check: defect {worst:.2e}")
+    return worst
+
+
+def _points_inside(domain, pts):
+    if domain == "unit-square":
+        return ((pts[:, 0] > 0) & (pts[:, 0] < 1)
+                & (pts[:, 1] > 0) & (pts[:, 1] < 1))
+    if domain == "l-shape":
+        inside_box = ((pts[:, 0] > -1) & (pts[:, 0] < 1)
+                      & (pts[:, 1] > -1) & (pts[:, 1] < 1))
+        notch = (pts[:, 0] >= 0) & (pts[:, 1] <= 0)
+        return inside_box & ~notch
+    raise ValueError(domain)
 
 
 def distorted_square4():
@@ -198,35 +252,44 @@ def exact_flux_integral_defect(solution, degree=16):
     return float(((lam - lam_h) * lenw).sum())
 
 
-def minimum_degree_lu_nnz(A, constraint=None):
-    """lu.nnz of a matrix (bordered by the constraint vector, if given)
-    under reverse Cuthill-McKee and SuperLU's minimum degree: on A^T + A
-    with diagonal pivoting when the unbordered diagonal is full, else on
-    A^T A with SuperLU's default pivoting.  The fill oracle for
-    fem.dissection_order."""
+def minimum_degree_lu_nnz(A):
+    """lu.nnz of a matrix under reverse Cuthill-McKee and SuperLU's
+    minimum degree: on A^T + A with diagonal pivoting when the diagonal
+    is full, else on A^T A with SuperLU's default pivoting.  The fill
+    oracle for fem.dissection_order."""
     if A.diagonal().all():
         spec = "MMD_AT_PLUS_A"
         opts = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     else:
         spec, opts = "MMD_ATA", {}
-    if constraint is not None:
-        c = sparse.csr_matrix(np.asarray(constraint, dtype=float)[None, :])
-        A = sparse.bmat([[A, c.T], [c, None]], format="csr")
     perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=True)
     return splu(A[perm][:, perm].tocsc(), permc_spec=spec, **opts).nnz
 
 
+def pinned_stiffness(space, degree):
+    """The full stiffness matrix of space with the last unknown of its
+    dissection order pinned as norms.neumann_dual_error pins it, and
+    that order."""
+    A = fem.assemble_stiffness(space, degree=degree)
+    order = fem.dissection_order(space)
+    norms._pin(A, np.zeros(space.ndof), order[-1])
+    return A, order
+
+
 def uncondensed_dual_error(delta, fine_mesh, order):
-    """E1 with every unknown of the order-`order` space in the factor:
-    the path of norms.neumann_dual_error before static condensation.
+    """E1 with every unknown of the order-`order` space in the factor
+    and the zero boundary-mean constraint as a border: [[A, c], [c^T, 0]]
+    by sparse.bmat, factored by SuperLU with its default ordering and
+    pivoting.  The oracle for norms.neumann_dual_error, which condenses
+    the interior unknowns out, projects the load and pins one unknown.
     Returns (E1, dual load, constraint vector, space)."""
     space = fem.FeSpace(fine_mesh, order)
     A = fem.assemble_stiffness(space, degree=2 * (order - 1) + 2)
     b = norms.boundary_dual_load(space, delta, degree=2 * order + 4)
     c = fem.boundary_integral_vector(space, degree=2 * order)
-    x = fem.solve(fem.SparseSystem(A, b, symmetric=True,
-                                   order=fem.dissection_order(space)),
-                  constraint=c)
+    border = sparse.csr_matrix(c[None, :])
+    K = sparse.bmat([[A, border.T], [border, None]], format="csc")
+    x = splu(K).solve(np.append(b, 0.0))[:-1]
     return float(np.sqrt(x @ (A @ x))), b, c, space
 
 

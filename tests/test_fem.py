@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fluxweight import fem
+from fluxweight import fem, norms
 from fluxweight.elements import reference_element
 from fluxweight.mesh import (boundary_band, build_lshape, build_unit_square,
                              uniform_refine)
+from fluxweight.norms import BoundaryFunction
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule, triangle_rule
 
 from conftest import (coo_stiffness, distorted_square4, eval_cells,
-                      facet_point_basis, interpolate, minimum_degree_lu_nnz)
+                      facet_point_basis, interpolate, minimum_degree_lu_nnz,
+                      pinned_stiffness, uncondensed_dual_error)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -217,6 +219,26 @@ def test_facet_basis_matches_pointwise_oracle(order):
     assert fem.facet_basis(sp, t)[1] is None
 
 
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_monomial_values_match_vandermonde(degree):
+    # Horner's rule against the product with the Vandermonde matrix:
+    # per-point rows (one t per row), and (facets, 1, d+1) rows against
+    # a rule, whose result broadcasts to (facets, len(t)) also when the
+    # rows have a single coefficient
+    rng = np.random.default_rng(degree)
+    rows = rng.standard_normal((7, degree + 1))
+    t, _ = segment_rule(6)
+    per_point = rng.random(7)
+    vander = np.vander(per_point, degree + 1, increasing=True)
+    assert np.allclose(fem.monomial_values(rows, per_point),
+                       (rows * vander).sum(axis=1), rtol=1e-14, atol=1e-14)
+    rule = fem.monomial_values(rows[:, None], t)
+    assert rule.shape == (7, len(t))
+    assert np.allclose(rule, rows @ np.vander(t, degree + 1,
+                                              increasing=True).T,
+                       rtol=1e-14, atol=1e-14)
+
 def test_solve_identity_and_saddle():
     st = fem.SparseSystem(sparse.eye(4, format="csr"), np.arange(4.0))
     assert np.allclose(fem.solve(st), np.arange(4.0))
@@ -303,52 +325,45 @@ def test_symmetry_flag_verified():
 
 
 def test_pure_neumann_constrained_solve(square4):
-    sp = fem.FeSpace(square4, 1)
-    A = fem.assemble_stiffness(sp)
-    c = fem.boundary_integral_vector(sp)
-    t, w = segment_rule(8)
-    facets = np.arange(square4.num_boundary_facets)
-    frep = np.repeat(facets, len(t))
-    trep = np.tile(t, len(facets))
-    s = square4.bf_s0[frep] + trep * square4.bf_len[frep]
-    vals, _, dofs = facet_point_basis(sp, frep, trep)
-    lenw = np.tile(w, len(facets)) * np.repeat(square4.bf_len, len(t))
-    b = np.zeros(sp.ndof)
-    np.add.at(b, dofs, vals * (np.cos(np.pi * s / 2.0) * lenw)[:, None])
-    x = fem.solve(fem.SparseSystem(A, b, symmetric=True), constraint=c)
-    assert abs(c @ x) <= 1e-10 * max(np.abs(x).max(), 1.0)
-    res = A @ x - b
-    # the residual lives only in the constraint direction
-    res -= (res @ c) / (c @ c) * c
-    assert np.linalg.norm(res) <= 1e-10 * (np.linalg.norm(b) + 1.0)
+    # a boundary function of nonzero mean: E1 projects its load to mean
+    # zero and pins one unknown, and must equal the solve bordered by
+    # the zero-mean constraint, at P1 and at P3 (condensed)
+    def fn(f, t):
+        s = square4.bf_s0[f] + t * square4.bf_len[f]
+        return np.cos(np.pi * s / 2.0) + 0.5
+
+    delta = BoundaryFunction(square4, fn)
+    for order in (1, 3):
+        ref, b, _, _ = uncondensed_dual_error(delta, square4, order)
+        assert b.sum() >= 0.5 * np.abs(b).sum()
+        assert norms.neumann_dual_error(delta, square4, order) \
+            == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("reference", ["uniform", "band"])
 def test_reference_solve_fill_bounded(reference, caplog):
-    # the bordered E1 systems at P3 and P4 factor in the dissection order
-    # with lu.nnz <= 5 nnz(A) (at most 3.5x measured; SuperLU's natural
-    # order exceeds 8x), and within 5% of reverse Cuthill-McKee with
-    # minimum degree on A^T + A (0.92-1.006 of it measured)
+    # the full E1 systems at P3 and P4, with one unknown pinned, factor
+    # in the dissection order with lu.nnz <= 5 nnz(A) (at most 3.53x
+    # measured; SuperLU's natural order exceeds 8x), and within 5% of
+    # reverse Cuthill-McKee with minimum degree on A^T + A (0.87-0.93
+    # of it measured)
     base = build_unit_square(16)
     m = uniform_refine(base, 2) if reference == "uniform" else \
         boundary_band(base)
     for order in (3, 4):
         sp = fem.FeSpace(m, order)
-        A = fem.assemble_stiffness(sp, degree=2 * order)
-        c = fem.boundary_integral_vector(sp)
+        A, perm = pinned_stiffness(sp, degree=2 * order)
         b = np.random.default_rng(order).standard_normal(sp.ndof)
         with caplog.at_level("INFO", logger="fluxweight.fem"):
             caplog.clear()
-            fem.solve(fem.SparseSystem(A, b, symmetric=True,
-                                       order=fem.dissection_order(sp)),
-                      constraint=c)
+            fem.solve(fem.SparseSystem(A, b, symmetric=True, order=perm))
         (rec,) = [r for r in caplog.records if r.name == "fluxweight.fem"]
         stats = rec.args
-        assert stats["n"] == sp.ndof + 1
+        assert stats["n"] == sp.ndof
         assert stats["ordering"] == "dissection"
         assert stats["res_ratio"] <= 1.0
         assert stats["lu_nnz"] <= 5 * stats["nnz"], stats
-        assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(A, c), stats
+        assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(A), stats
 
 
 def test_interpolation_reproduces_polynomials(square4):

@@ -13,7 +13,7 @@ from conftest import (assemble_grad_load, bulk_trace, coo_stiffness,
                       distorted_square4, exact_flux_integral_defect,
                       facet_point_basis, facet_point_pair, interpolate,
                       make_linear_problem, minimum_degree_lu_nnz,
-                      multiplier_values)
+                      multiplier_values, verify_problem)
 
 
 def exact_flux_on_facets(problem, mesh, t=0.5):
@@ -261,7 +261,7 @@ def test_verify_problem_catches_wrong_source():
         grad_u=lambda x, y: np.stack([np.ones_like(x), np.ones_like(y)],
                                      axis=-1))
     with pytest.raises(ValueError):
-        methods.verify_problem(bad)
+        verify_problem(bad)
 
 
 def test_solver_failure_context(square4):

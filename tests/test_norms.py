@@ -17,7 +17,7 @@ from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
 from conftest import (distorted_square4, make_gentle_problem,
-                      uncondensed_dual_error)
+                      pinned_stiffness, uncondensed_dual_error)
 
 
 def test_filter_taps_bit_for_bit():
@@ -267,7 +267,8 @@ def _band_flux_error(domain):
 def test_condensed_e1_matches_uncondensed(domain, order):
     # the interior basis functions vanish on the boundary, so condensing
     # them out changes E1 by round-off only: the dual load and the
-    # constraint have no weight on them
+    # constraint have no weight on them; the oracle keeps them and
+    # borders the system with the constraint
     delta, band = _band_flux_error(domain)
     full, b, c, space = uncondensed_dual_error(delta, band, order)
     assert norms.neumann_dual_error(delta, band, order) == pytest.approx(
@@ -281,12 +282,14 @@ def test_condensed_e1_matches_uncondensed(domain, order):
 
 @pytest.mark.parametrize("order", [3, 4])
 def test_e1_factor_holds_no_interior_unknown(order, caplog):
-    # the factored system has the vertex and edge unknowns and the
-    # border of the constraint, and fills less than the full system
+    # the factored system has the vertex and edge unknowns alone, with
+    # no border, and fills less than the full system pinned alike
     delta, band = _band_flux_error("square")
+    space = fem.FeSpace(band, order)
+    A, perm = pinned_stiffness(space, degree=2 * (order - 1) + 2)
     with caplog.at_level("INFO"):
         caplog.clear()
-        uncondensed_dual_error(delta, band, order)
+        fem.solve(fem.SparseSystem(A, np.zeros(space.ndof), order=perm))
         (full,) = [r.args for r in caplog.records
                    if r.name == "fluxweight.fem"]
         caplog.clear()
@@ -296,13 +299,13 @@ def test_e1_factor_holds_no_interior_unknown(order, caplog):
         (e1,) = [r.args for r in caplog.records
                  if r.name == "fluxweight.norms"]
     nv, ne = band.num_vertices, len(band.edges)
-    assert solve["n"] == nv + (order - 1) * ne + 1
+    assert solve["n"] == nv + (order - 1) * ne
     assert solve["res_ratio"] <= 1.0
     assert solve["lu_nnz"] < full["lu_nnz"]
     assert e1["order"] == order
     assert e1["triangles"] == band.num_triangles
-    assert e1["kept"] == solve["n"] - 1
-    assert e1["kept"] + e1["eliminated"] == full["n"] - 1
+    assert e1["kept"] == solve["n"]
+    assert e1["kept"] + e1["eliminated"] == full["n"]
     assert e1["gap"] <= 1e-12
 
 
@@ -451,8 +454,8 @@ def test_second_e2_evaluates_exact_flux_on_cut_cells_only():
     first = methods.solve_nitsche(
         problem, build_graded_mesh("unit-square", 0.25, initial_n=3), k=1)
     sample_to_dyadic(flux_error_function(first), M)
-    assert set(problem.dyadic_cache[(first.mesh.polygon.tobytes(), M)]) \
-        == {"lam", "a", "g"}
+    assert set(problem.dyadic_cache[(first.mesh.polygon.tobytes(), M,
+                                     True)]) == {"lam", "a", "g"}
 
     mesh = build_graded_mesh("unit-square", 0.125, initial_n=3)
     sol = methods.solve_nitsche(problem, mesh, k=1)
@@ -479,15 +482,17 @@ def test_multiplier_flux_caches_only_the_exact_flux(square4):
     problem = make_gentle_problem()
     sol = methods.solve_lagrange(problem, square4, k=2, kprime=0)
     sample_to_dyadic(flux_error_function(sol), 8)
-    assert set(problem.dyadic_cache[(square4.polygon.tobytes(), 8)]) \
-        == {"lam"}
+    assert list(problem.dyadic_cache) == [(square4.polygon.tobytes(), 8,
+                                           False)]
+    assert set(problem.dyadic_cache[(square4.polygon.tobytes(), 8,
+                                     False)]) == {"lam"}
 
 
 def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
     # the Nitsche cache of Franke's problem evaluates the four terms once
     # per chunk of cells, at every Gauss point of the chunk and for the
-    # exact flux and g together, and caches the same sums as separate
-    # evaluations do
+    # exact flux and g together; its lam is the multiplier cache's bit
+    # for bit, and its g the Gauss sums of g over each cell
     M = 15
     gp, gw = segment_rule(5)
     passes = []
@@ -498,17 +503,25 @@ def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
         return terms(x, y, derivatives)
 
     monkeypatch.setattr(problems, "_franke_terms", counting)
+    problem = problem_data("franke")
     one_pass = norms._dyadic_boundary_data(
-        problem_data("franke"), square4.polygon, M, gp, gw, with_data=True)
+        problem, square4.polygon, M, gp, gw, with_data=True)
     assert passes == [len(gp) * norms._CHUNK] * ((1 << M) // norms._CHUNK)
-    separate = problem_data("franke")
-    norms._dyadic_boundary_data(separate, square4.polygon, M, gp, gw,
-                                with_data=False)
-    norms._dyadic_boundary_data(separate, square4.polygon, M, gp, gw,
-                                with_data=True)
-    ref = separate.dyadic_cache[(square4.polygon.tobytes(), M)]
-    assert np.array_equal(one_pass["lam"], ref["lam"])
-    assert np.array_equal(one_pass["g"], ref["g"])
+    lam_only = norms._dyadic_boundary_data(
+        problem, square4.polygon, M, gp, gw, with_data=False)
+    assert set(lam_only) == {"lam"}
+    assert np.array_equal(one_pass["lam"], lam_only["lam"])
+    # the cells run counterclockwise from the origin along the sides of
+    # the unit square, a quarter of them per side
+    n = 1 << M
+    s = 4.0 * (np.arange(n)[:, None] + gp) / n
+    side, t = np.divmod(s, 1.0)
+    corner = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    step = np.roll(corner, -1, axis=0) - corner
+    side = side.astype(int)
+    pts = corner[side] + t[..., None] * step[side]
+    g = problem.g(pts[..., 0], pts[..., 1]) @ gw
+    assert np.abs(one_pass["g"] - g).max() <= 1e-14 * np.abs(g).max()
 
 
 def test_franke_nitsche_cache_is_lean(square4):
@@ -524,6 +537,6 @@ def test_franke_nitsche_cache_is_lean(square4):
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert set(problem.dyadic_cache[(square4.polygon.tobytes(), M)]) \
-        == {"lam", "a", "g"}
+    assert set(problem.dyadic_cache[(square4.polygon.tobytes(), M,
+                                     True)]) == {"lam", "a", "g"}
     assert held <= 2.5e6

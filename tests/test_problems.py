@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fluxweight.methods import verify_problem
 from fluxweight.problems import problem_data, problem_names
+
+from conftest import verify_problem
 
 
 def test_registry_names():
