@@ -10,10 +10,11 @@ runs (the calibrated substitute for the true error), and the bulk energy
 error when the exact solution is known.
 
 Every E1 uses one reference rule: the harmonic lifting is solved at
-order k+2 on the boundary band of the step's mesh, where the triangles
-whose vertex patch touches the boundary are bisected twice
-(`mesh.boundary_band`).  Its boundary facets are those of the mesh
-bisected twice everywhere, at a fraction of the unknowns.
+order k+2 on a mesh graded from the boundary.  It is the coarse initial
+mesh bisected toward the step's boundary facets alone
+(`mesh.boundary_graded`), so the step's interior refinement stays out
+of it, with its boundary band (the triangles whose vertex patch touches
+the boundary) then bisected E1_BAND times (`mesh.boundary_band`).
 """
 
 import logging
@@ -23,12 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from . import fem, methods, norms
-from .mesh import (boundary_band, build_domain_mesh, build_graded_mesh,
-                   compute_distance_field, refine, uniform_refine)
+from . import elements, fem, methods, norms
+from .mesh import (boundary_band, boundary_graded, build_domain_mesh,
+                   build_graded_mesh, compute_distance_field, refine,
+                   uniform_refine)
 from .problems import problem_data
 
 log = logging.getLogger(__name__)
+
+# bisection sweeps of the boundary band of every E1 reference
+E1_BAND = 3
 
 RECORD_COLUMNS = ("step", "N", "N_boundary", "eta", "eta_classical",
                   "E1", "E2", "E", "energy_err", "seconds")
@@ -167,20 +172,37 @@ def _true_error_scale(config):
                                     methods.BARBOSA_HUGHES) else 1.0
 
 
+def _check_e1_order(config):
+    """Raise ValueError when E1's order k+2 has no elements, so that a
+    study that will evaluate E1 stops before its first solve."""
+    if config.k + 2 > elements.MAX_ORDER:
+        raise ValueError(f"E1 needs elements of order k+2 = {config.k + 2}"
+                         f", above the supported {elements.MAX_ORDER}")
+
+
 def _e1_of(delta, config, mesh):
-    """E1 of `delta` under the module's reference rule: order k+2 on
-    the boundary band of `mesh`.  The lifting needs a flux error of mean
-    zero, so E1 raises fem.SolverError unless the solution conserves:
-    |compatibility defect| <= 1e-10 * integral |f|, both from the
-    solve's own load pass."""
+    """E1 of `delta` under the module's reference rule: order k+2 on the
+    mesh graded from the boundary facets of `mesh` (which must be a
+    bisection of the initial mesh at config.initial_n), its boundary
+    band bisected E1_BAND times.  Logs one INFO line: the triangles of
+    `mesh` and of the reference, the band depth and the build time.
+    The lifting needs a flux error of mean zero, so E1 raises
+    fem.SolverError unless the solution conserves: |compatibility
+    defect| <= 1e-10 * integral |f|, both from the solve's own load
+    pass."""
     sol = delta.solution
     defect = methods.compatibility_defect(sol)
     scale = sol.abs_f_integral
     if not abs(defect) <= 1e-10 * scale:
         raise fem.SolverError(f"compatibility defect {defect:.3e} exceeds "
                               f"1e-10 of integral |f|, {scale:.3e}")
-    return norms.neumann_dual_error(delta, boundary_band(mesh, 2),
-                                    order=config.k + 2)
+    t0 = time.perf_counter()
+    ref = boundary_band(boundary_graded(mesh, config.initial_n), E1_BAND)
+    log.info("E1 reference: %(step)d step triangles, %(ref)d reference "
+             "triangles, band %(band)d, built in %(seconds).3f s",
+             dict(step=mesh.num_triangles, ref=ref.num_triangles,
+                  band=E1_BAND, seconds=time.perf_counter() - t0))
+    return norms.neumann_dual_error(delta, ref, order=config.k + 2)
 
 
 def step(config, problem, mesh, e1=False):
@@ -215,10 +237,12 @@ def amr_loop(config):
     """Adaptive loop from the coarse initial mesh up to the DOF budget.
 
     Stops before the refinement that would exceed the budget; E2 is
-    evaluated at every step, E1 at the final step only (on its boundary
-    band, as in `step`).  Returns the record and the state of the final
-    step (see `step`).
+    evaluated at every step, E1 at the final step only (on the reference
+    graded from its boundary facets, see `_e1_of`), and a k whose E1
+    order is unsupported is refused before the first solve.  Returns the
+    record and the state of the final step (see `step`).
     """
+    _check_e1_order(config)
     problem = problem_data(config.problem)
     mesh = build_domain_mesh(problem.domain, config.initial_n)
     if count_dofs(mesh, config) >= config.budget:
@@ -245,15 +269,19 @@ def uniform_study(config, levels, e1_levels=None):
     """Solves on uniformly refined meshes h, h/2, ... with E1 and E2.
 
     e1_levels bounds the number of levels that run the auxiliary-problem
-    evaluation (its reference solve grows 16x per level); None runs it
-    everywhere, 0 disables it.  Returns the record and the state of the
-    finest level (see `step`).
+    evaluation (its reference, graded from the boundary, grows about 2x
+    per level: 624, 1360, 2968 and 6240 triangles from 8x8 on the unit
+    square); None runs it everywhere, 0 disables it.  Unless it is 0, a
+    k whose E1 order is unsupported is refused before the first solve.
+    Returns the record and the state of the finest level (see `step`).
     """
+    if e1_levels is None:
+        e1_levels = levels
+    if e1_levels:
+        _check_e1_order(config)
     problem = problem_data(config.problem)
     mesh = build_domain_mesh(problem.domain, config.initial_n)
     record = ConvergenceRecord(label="uniform")
-    if e1_levels is None:
-        e1_levels = levels
     for lvl in range(levels):
         if lvl:
             mesh = uniform_refine(mesh, 2)

@@ -384,6 +384,39 @@ def boundary_band(mesh, sweeps=2):
     return mesh
 
 
+def boundary_graded(mesh, initial_n):
+    """The coarsest bisection of build_domain_mesh(mesh.domain,
+    initial_n) with the boundary facets of `mesh`: the triangles whose
+    boundary facet holds a facet start of `mesh` strictly inside (beyond
+    1e-12 of the perimeter) are bisected until none does, so the bulk is
+    graded inward by the newest-vertex closure alone.
+
+    `mesh` must be a bisection of that initial mesh.  Otherwise a facet
+    that holds a start comes down to less than twice the shortest facet
+    of `mesh`, where bisecting it would pass below that facet, and
+    ValueError is raised there: the loop always ends.
+    """
+    starts = mesh.bf_s0
+    tol = 1e-12 * mesh.perimeter
+    shortest = mesh.bf_len.min()
+    out = build_domain_mesh(mesh.domain, initial_n)
+    while True:
+        # the first start beyond each facet's own, and whether it lies
+        # before the facet's end
+        nxt = np.searchsorted(starts, out.bf_s0 + tol, side="right")
+        inside = nxt < len(starts)
+        inside[inside] = (starts[nxt[inside]]
+                          < out.bf_s0[inside] + out.bf_len[inside] - tol)
+        if not inside.any():
+            return out
+        # a facet that holds a start holds two facets of `mesh`
+        if (out.bf_len[inside] < 2 * shortest * (1 - 1e-12)).any():
+            raise ValueError(
+                "the boundary facets of the mesh are not bisections of "
+                f"those of the initial mesh at n = {initial_n}")
+        out = refine(out, out.bf_tri[inside])
+
+
 def compute_distance_field(mesh):
     """rho_T per triangle: the minimum distance to the boundary over the
     vertices of the patch of triangles sharing a vertex with T (exactly

@@ -51,7 +51,7 @@ def table2_k0():
 @pytest.fixture(scope="module")
 def table2_k2():
     # five levels; the auxiliary solve is run on the first four (its
-    # reference system grows 16x per level)
+    # reference, graded from the boundary, grows about 2x per level)
     cfg = AmrConfig(problem="franke", method="lagrange", k=2, kprime=2,
                     continuous=True, initial_n=8)
     return driver.uniform_study(cfg, 5, e1_levels=4)[0]

@@ -111,6 +111,47 @@ def test_e1_accepts_real_solutions(method, problem):
     assert 0.0 < e1 < np.inf
 
 
+def test_e1_logs_its_reference(caplog):
+    mesh = build_unit_square(4)
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1)
+    delta = norms.flux_error_function(
+        driver._solve(cfg, problem_data("franke"), mesh))
+    with caplog.at_level("INFO"):
+        driver._e1_of(delta, cfg, mesh)
+    (line,) = [r.args for r in caplog.records
+               if r.name == "fluxweight.driver"]
+    (e1,) = [r.args for r in caplog.records if r.name == "fluxweight.norms"]
+    assert line["step"] == mesh.num_triangles
+    assert line["ref"] == e1["triangles"]
+    assert line["band"] == driver.E1_BAND
+    assert line["seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("study", ["amr", "uniform"])
+def test_unsupported_e1_order_fails_before_any_solve(monkeypatch, study):
+    # E1 at k=3 needs P5 elements; the study stops before its first solve
+    calls = []
+    for name in ("solve_nitsche", "solve_lagrange", "solve_barbosa_hughes"):
+        monkeypatch.setattr(methods, name, lambda *a, name=name, **kw:
+                            calls.append(name))
+    cfg = AmrConfig(problem="franke", method="nitsche", k=3,
+                    wavelet_level=10)
+    with pytest.raises(ValueError, match="order k\\+2 = 5"):
+        if study == "amr":
+            driver.amr_loop(cfg)
+        else:
+            driver.uniform_study(cfg, 2)
+    assert calls == []
+
+
+def test_uniform_study_without_e1_runs_at_k3():
+    cfg = AmrConfig(problem="franke", method="nitsche", k=3,
+                    wavelet_level=10)
+    rec, _ = driver.uniform_study(cfg, 1, e1_levels=0)
+    assert len(rec) == 1 and np.isnan(rec.E1).all()
+    assert np.isfinite(rec.E2).all()
+
+
 def test_e1_assembles_no_load(monkeypatch):
     # the conservation check reads the load sums of the solve
     mesh = build_unit_square(4)

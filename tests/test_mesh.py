@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fluxweight import mesh as meshmod
-from fluxweight.mesh import (boundary_band, build_graded_mesh, build_lshape,
+from fluxweight.mesh import (boundary_band, boundary_graded,
+                             build_graded_mesh, build_lshape,
                              build_unit_square, check_mesh,
                              compute_distance_field, distance_to_boundary,
                              refine, shape_regularity, uniform_refine)
@@ -105,6 +106,51 @@ def test_boundary_band_facets_match_uniform(make):
     fine = uniform_refine(m, 2)
     assert np.array_equal(np.sort(band.bf_len), np.sort(fine.bf_len))
     assert band.num_triangles < fine.num_triangles
+
+
+@pytest.mark.parametrize("make, initial_n", [
+    (_corner_amr_mesh, 4),
+    (lambda: uniform_refine(build_lshape(4), 2), 4),
+    (lambda: uniform_refine(build_unit_square(8), 4), 8)],
+    ids=["square-amr", "lshape4-twice", "square8-level2"])
+def test_boundary_graded_keeps_the_facets(make, initial_n):
+    m = make()
+    g = boundary_graded(m, initial_n)
+    check_mesh(g)
+    assert np.array_equal(g.bf_s0, m.bf_s0)
+    assert np.array_equal(g.bf_len, m.bf_len)
+    assert g.num_triangles < m.num_triangles
+
+
+def test_boundary_graded_leaves_the_corner_refinement_out():
+    # the corner refinement of this mesh reaches into the bulk; the
+    # graded mesh refines only toward the facets it left on the boundary
+    m = _corner_amr_mesh()
+    g = boundary_graded(m, 4)
+    cent = g.vertices[g.triangles].mean(axis=1)
+    inner = distance_to_boundary("unit-square", cent) > 0.25
+    assert (g.level[inner] == 0).all()
+
+
+@pytest.mark.parametrize("sweeps, most_rounds", [(0, 0), (8, 6)])
+def test_boundary_graded_refuses_a_mesh_of_another_root(monkeypatch, sweeps,
+                                                        most_rounds):
+    # the facet starts of a 3x3 mesh (thirds) are no bisection points of
+    # the 4x4 one: the builder raises ValueError once a facet that holds
+    # a start would be bisected below the shortest facet, at once for
+    # the 3x3 mesh and after three facet bisections (two rounds each)
+    # for it bisected 8 times (shortest facet 1/48)
+    m = uniform_refine(build_unit_square(3), sweeps)
+    rounds = []
+
+    def counting(mesh, marked):
+        rounds.append(len(marked))
+        return refine(mesh, marked)
+
+    monkeypatch.setattr(meshmod, "refine", counting)
+    with pytest.raises(ValueError, match="bisections"):
+        boundary_graded(m, 4)
+    assert len(rounds) <= most_rounds
 
 
 @pytest.mark.parametrize("make", [

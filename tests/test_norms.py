@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxweight import fem, methods, norms, problems
-from fluxweight.mesh import (boundary_band, build_domain_mesh,
+from fluxweight import driver, fem, methods, norms, problems
+from fluxweight.mesh import (boundary_band, boundary_graded,
+                             build_domain_mesh,
                              build_graded_mesh, build_lshape,
                              build_unit_square, uniform_refine)
 from fluxweight.norms import (BoundaryFunction, WaveletPyramid, dwt_step,
@@ -234,6 +235,23 @@ def test_boundary_band_e1_matches_uniform_reference(square8):
     full = norms.neumann_dual_error(delta, uniform_refine(square8, 2),
                                     order=3)
     assert band == pytest.approx(full, rel=1e-6)
+
+
+def test_graded_reference_e1_is_resolved():
+    # E1 of a uniform Franke k=1 level on the driver's reference (the
+    # mesh graded from the level's boundary facets, band bisected
+    # E1_BAND = 3 times, P3) against the same graded mesh with its band
+    # bisected 5 times at P4; the step mesh's own band bisected twice
+    # reads 0.93% low here
+    mesh = uniform_refine(build_unit_square(4), 2)
+    cfg = driver.AmrConfig(problem="franke", method="nitsche", k=1,
+                           initial_n=4)
+    delta = flux_error_function(methods.solve_nitsche(
+        problem_data("franke"), mesh, k=1))
+    resolved = norms.neumann_dual_error(
+        delta, boundary_band(boundary_graded(mesh, 4), 5), order=4)
+    assert driver._e1_of(delta, cfg, mesh) == pytest.approx(resolved,
+                                                            rel=0.005)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
