@@ -1,9 +1,12 @@
 """Command-line interface.
 
-    fluxweight run <manifest.json> [--out DIR] [--jobs N]
+    fluxweight run <manifest.json> [--out DIR]
                    [--dump-mesh] [--dump-indicators] [--dump-pyramid]
     fluxweight demo-weights [--k 2] [--c2 1.0] [--steps 7] [--out DIR]
     fluxweight list-problems
+
+`run` runs the manifest's studies on as many threads as it has
+studies, up to the CPUs available to the process.
 """
 
 import argparse
@@ -22,7 +25,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run a manifest of studies")
     p_run.add_argument("manifest")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--dump-mesh", action="store_true")
     p_run.add_argument("--dump-indicators", action="store_true")
     p_run.add_argument("--dump-pyramid", action="store_true")
@@ -71,8 +73,7 @@ def main(argv=None):
             args.manifest, args.out,
             dump_mesh_flag=args.dump_mesh,
             dump_indicators_flag=args.dump_indicators,
-            dump_pyramid_flag=args.dump_pyramid,
-            jobs=args.jobs)
+            dump_pyramid_flag=args.dump_pyramid)
         for entry in report["assertions"]:
             status = "pass" if entry["ok"] else "FAIL"
             print(f"[{status}] {entry['check']}: {entry['detail']}")

@@ -82,16 +82,14 @@ class IndicatorField:
     eta_classical: float
 
 
-def compute_residuals(solution, degree=None):
+def compute_residuals(solution):
     """Evaluate all local residuals of `solution` on its mesh.
 
     The volume term expands div(a grad u_h) = a lap(u_h) + grad(a).grad(u_h)
     elementwise; boundary seminorms differentiate along the facet.
     """
     mesh = solution.mesh
-    if degree is None:
-        degree = 2 * solution.space.order + 4
-
+    degree = solution.space.degree
     r1T = _volume_residual(solution, degree)
     r0F = _flux_jumps(solution, degree)
     r1F, r2F, r3F, patch_sq = _boundary_residuals(solution, degree)
@@ -286,11 +284,11 @@ def assemble_eta_classical(residuals, mesh, method, gamma=None):
     return eta_T, eta
 
 
-def build_indicators(solution, rho, config, degree=None):
+def build_indicators(solution, rho, config):
     """Residuals, weights and both estimators in one pass; rho holds the
     patch distances rho_T of compute_distance_field."""
     mesh = solution.mesh
-    res = compute_residuals(solution, degree=degree)
+    res = compute_residuals(solution)
     sigma_T = weight_element(mesh.h_T, rho, config)
     eta_T, eta, sigma_F = assemble_eta(
         res, sigma_T, mesh, solution.method,

@@ -10,6 +10,7 @@ exit code is zero exactly when every assertion passes.
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -204,9 +205,13 @@ def check_assertion(spec, results):
 
 
 def run_experiment(manifest, out_dir, dump_mesh_flag=False,
-                   dump_indicators_flag=False, dump_pyramid_flag=False,
-                   jobs=1):
-    """Run all studies of the manifest; returns (report dict, ok flag)."""
+                   dump_indicators_flag=False, dump_pyramid_flag=False):
+    """Run all studies of the manifest; returns (report dict, ok flag,
+    results by study name).
+
+    The studies run on min(studies, CPUs available to the process)
+    threads; a lone study runs in the calling thread.
+    """
     if isinstance(manifest, (str, Path)):
         with open(manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -216,18 +221,16 @@ def run_experiment(manifest, out_dir, dump_mesh_flag=False,
              "pyramid": dump_pyramid_flag}
     studies = manifest.get("studies", [])
 
-    results = {}
-    if jobs > 1 and len(studies) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(run_study, s, manifest, out, dumps)
-                    for s in studies]
-            for fut in futs:
-                res = fut.result()
-                results[res.name] = res
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = min(len(studies), cpus)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(
+                lambda s: run_study(s, manifest, out, dumps), studies))
     else:
-        for s in studies:
-            res = run_study(s, manifest, out, dumps)
-            results[res.name] = res
+        done = [run_study(s, manifest, out, dumps) for s in studies]
+    results = {res.name: res for res in done}
 
     report = {"studies": sorted(results), "assertions": []}
     ok_all = True

@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .elements import reference_element
+from .elements import EDGE_VERTICES, reference_element
 from .quadrature import segment_rule, triangle_rule
 
 log = logging.getLogger(__name__)
@@ -69,11 +69,14 @@ class FeSpace:
     element-interior DOFs.  This makes assembly deterministic and
     mesh-order independent.  The first skeleton_ndof DOFs are those of
     the vertices and edges, the unknowns that static condensation keeps.
+    `degree`, 2 * order + 4, is the quadrature degree of every bulk and
+    boundary rule of the solve on this space.
     """
 
     def __init__(self, mesh, order):
         self.mesh = mesh
         self.order = order
+        self.degree = 2 * order + 4
         self.element = reference_element(order)
         nv, ne, nt = mesh.num_vertices, len(mesh.edges), mesh.num_triangles
         p = order
@@ -84,7 +87,6 @@ class FeSpace:
         td = np.empty((nt, nloc), dtype=np.int64)
         td[:, :3] = mesh.triangles
         col = 3
-        from .elements import EDGE_VERTICES
         for le, (a, b) in enumerate(EDGE_VERTICES):
             lo, hi = (a, b) if a < b else (b, a)
             g_lo = mesh.triangles[:, lo]
@@ -102,10 +104,8 @@ class FeSpace:
         self.tri_dofs = td
 
         onb = np.zeros(self.ndof, dtype=bool)
-        onb[np.nonzero(mesh.vertex_on_boundary)[0]] = True
-        for f in range(mesh.num_boundary_facets):
-            e = mesh.bf_edge[f]
-            onb[nv + e * (p - 1): nv + (e + 1) * (p - 1)] = True
+        onb[:nv] = mesh.vertex_on_boundary
+        onb[nv + (mesh.bf_edge[:, None] * (p - 1) + np.arange(p - 1))] = True
         self.boundary_dofs = np.nonzero(onb)[0]
 
     # -- evaluation ------------------------------------------------------------
@@ -353,8 +353,7 @@ def element_stiffness(space, a=None, degree=None):
     """Element matrices of the diffusion form with scalar coefficient a,
     shape (triangles, nd, nd), written block by block into one array."""
     mesh, nd = space.mesh, space.element.ndof
-    if degree is None:
-        degree = 2 * space.order + 4
+    degree = space.degree if degree is None else degree
     qp, qw = triangle_rule(degree)
     S, Sw = _stiffness_tensor(space.order, degree)
     Ke = np.empty((mesh.num_triangles, nd * nd))
@@ -413,8 +412,7 @@ def assemble_load_sums(space, f, degree=None):
     """Load vector b_i = integral of f * phi_i, and integral |f| by the
     same rule: sum |f(x_q)| w_q det J.  The sum of b is integral f."""
     mesh, el = space.mesh, space.element
-    if degree is None:
-        degree = 2 * space.order + 4
+    degree = space.degree if degree is None else degree
     qp, qw = triangle_rule(degree)
     vref = el.eval(qp)  # (nq, nd)
     be = np.empty((mesh.num_triangles, el.ndof))
@@ -438,8 +436,7 @@ def assemble_load(space, f, degree=None):
 
 def boundary_integral_vector(space, degree=None):
     """Vector c_i = integral of phi_i over the boundary."""
-    if degree is None:
-        degree = 2 * space.order + 4
+    degree = space.degree if degree is None else degree
     t, w = segment_rule(degree)
     vals, _, dofs = facet_basis(space, t)
     return facet_vector(space.ndof, dofs, vals,
@@ -548,8 +545,7 @@ def solve(system):
 def h1_seminorm_error(space, coeffs, grad_exact, degree=None):
     """|grad(u - u_h)| over the mesh, with grad_exact(x, y) -> (..., 2)."""
     mesh = space.mesh
-    if degree is None:
-        degree = 2 * space.order + 4
+    degree = space.degree if degree is None else degree
     qp, qw = triangle_rule(degree)
     total = 0.0
     for blk in _blocks(mesh.num_triangles):

@@ -1,5 +1,12 @@
 """Conforming triangular meshes of the unit square and the L-shape.
 
+Each domain is one corner loop, counterclockwise from a fixed anchor
+corner (unit square: (0, 0); L-shape: (-1, -1)), and everything else
+derives from it: the structured initial mesh (build_domain_mesh), the
+arc-length chart and the distance to the boundary (project_to_boundary)
+and the boundary points and normals at given arc lengths (boundary_at,
+which E2 samples), all reading one side table (polygon_sides).
+
 Triangles store their vertices counterclockwise with the *peak* vertex
 first: the refinement edge of triangle (v0, v1, v2) is (v1, v2), the
 edge opposite v0.  `refine` performs newest-vertex bisection with
@@ -7,10 +14,9 @@ recursive closure, which keeps every mesh conforming and shape regular
 (the structured initial meshes consist of right isosceles triangles
 whose bisection children are again right isosceles).
 
-The boundary carries an arc-length chart: facets are ordered
-counterclockwise from a fixed anchor corner (unit square: (0, 0);
-L-shape: (-1, -1)) and their arc intervals tile [0, |boundary|).
-Meshes are immutable after construction; refinement returns a new mesh.
+The boundary facets are ordered counterclockwise from the anchor and
+their arc intervals tile [0, |boundary|).  Meshes are immutable after
+construction; refinement returns a new mesh.
 """
 
 import numpy as np
@@ -35,19 +41,48 @@ def domain_polygon(domain):
         raise ValueError(f"unknown domain {domain!r}") from None
 
 
+def polygon_sides(polygon):
+    """Side vectors, side lengths and the arc length at each corner of
+    the corner loop, the perimeter last."""
+    vec = np.roll(polygon, -1, axis=0) - polygon
+    length = np.hypot(*vec.T)
+    return vec, length, np.concatenate([[0.0], np.cumsum(length)])
+
+
+def project_to_boundary(polygon, pts):
+    """Arc length in [0, perimeter) of the nearest boundary point of
+    each point (n, 2), and its exact distance.  A point as near (within
+    1e-14) to two sides takes its arc length from the first in the loop."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    vec, length, cum = polygon_sides(polygon)
+    s = np.zeros(len(pts))
+    dist = np.full(len(pts), np.inf)
+    for a, ab, L, c in zip(polygon, vec, length, cum):
+        t = np.clip(((pts - a) @ ab) / (L * L), 0.0, 1.0)
+        d = np.hypot(*(pts - (a + t[:, None] * ab)).T)
+        better = d < dist - 1e-14
+        s[better] = c + t[better] * L
+        np.minimum(dist, d, out=dist)
+    return np.mod(s, cum[-1]), dist
+
+
+def boundary_at(polygon, s):
+    """Points (x, y) and outward unit normals (nx, ny) at the arc
+    lengths s in [0, perimeter); a corner belongs to the side it
+    starts."""
+    vec, length, cum = polygon_sides(polygon)
+    k = np.zeros(np.shape(s), dtype=np.intp)
+    for c in cum[1:-1]:
+        k += s >= c
+    t = (s - cum.take(k)) / length.take(k)
+    return (polygon[:, 0].take(k) + t * vec[:, 0].take(k),
+            polygon[:, 1].take(k) + t * vec[:, 1].take(k),
+            (vec[:, 1] / length).take(k), (-vec[:, 0] / length).take(k))
+
+
 def distance_to_boundary(domain, pts):
     """Exact Euclidean distance from points (n, 2) to the domain boundary."""
-    poly = domain_polygon(domain)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    best = np.full(len(pts), np.inf)
-    for k in range(len(poly)):
-        a = poly[k]
-        b = poly[(k + 1) % len(poly)]
-        ab = b - a
-        t = np.clip(((pts - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        best = np.minimum(best, np.hypot(*(pts - proj).T))
-    return best
+    return project_to_boundary(domain_polygon(domain), pts)[1]
 
 
 class Mesh:
@@ -111,17 +146,15 @@ class Mesh:
         self._boundary_edges = np.nonzero(self.edge_tris[:, 1] < 0)[0]
 
     def _build_boundary_chart(self):
-        poly = self.polygon
-        seg_len = np.hypot(*(np.roll(poly, -1, axis=0) - poly).T)
-        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        self.perimeter = cum[-1]
-
+        self.perimeter = polygon_sides(self.polygon)[2][-1]
         be = self._boundary_edges
         tri_of = self.edge_tris[be, 0]
         le = self.edge_local[be, 0]
         v0 = self.triangles[tri_of, (le + 1) % 3]
         v1 = self.triangles[tri_of, (le + 2) % 3]
-        s0 = self._chart_s(self.vertices[v0], cum)
+        s0, dist = project_to_boundary(self.polygon, self.vertices[v0])
+        if dist.max(initial=0.0) > 1e-9:
+            raise ValueError("point not on the domain boundary")
         order = np.argsort(s0, kind="stable")
 
         self.bf_edge = be[order]
@@ -140,26 +173,6 @@ class Mesh:
         onb[self.bf_v0] = True
         onb[self.bf_v1] = True
         self.vertex_on_boundary = onb
-
-    def _chart_s(self, pts, cum):
-        """Arc length of boundary points, in [0, perimeter); cum holds the
-        arc length at each polygon vertex and the perimeter last."""
-        poly = self.polygon
-        pts = np.atleast_2d(pts)
-        s = np.full(len(pts), np.nan)
-        dist = np.full(len(pts), np.inf)
-        for k in range(len(poly)):
-            a, b = poly[k], poly[(k + 1) % len(poly)]
-            ab = b - a
-            L = np.hypot(*ab)
-            t = np.clip(((pts - a) @ ab) / (L * L), 0.0, 1.0)
-            d = np.hypot(*(pts - (a + t[:, None] * ab)).T)
-            better = d < dist - 1e-14
-            s[better] = cum[k] + t[better] * L
-            dist[better] = d[better]
-        if dist.max(initial=0.0) > 1e-9:
-            raise ValueError("point not on the domain boundary")
-        return np.mod(s, cum[-1])
 
     # -- public queries --------------------------------------------------------
 
@@ -216,70 +229,55 @@ class Mesh:
         return J, invJT, det
 
 
-def build_unit_square(n):
-    """Structured mesh of [0, 1]^2 with 2*n^2 right isosceles triangles.
-
-    Every cell is split along its lower-left to upper-right diagonal; the
-    arc-length anchor is the corner (0, 0).
-    """
-    if n < 1:
-        raise ValueError("subdivision count must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((b, c, a))  # peak at right angle, hyp = diagonal
-            tris.append((d, a, c))
-    return Mesh(verts, np.array(tris), UNIT_SQUARE)
-
-
-def build_lshape(n):
-    """Structured mesh of [-1,1]^2 minus (0,1)x(-1,0), 6*n^2 triangles.
-
-    Each of the three unit squares is subdivided n times per side; the
-    arc-length anchor is the corner (-1, -1) and the re-entrant corner
-    sits at the origin.
-    """
-    if n < 1:
-        raise ValueError("subdivision count must be >= 1")
-    m = 2 * n
-    xs = np.linspace(-1.0, 1.0, m + 1)
-    keep = np.zeros((m + 1, m + 1), dtype=bool)
-    newid = np.full((m + 1, m + 1), -1, dtype=np.int64)
-    verts = []
-    for i in range(m + 1):
-        for j in range(m + 1):
-            if xs[i] > 0.0 and xs[j] < 0.0:
-                continue  # inside the excluded quadrant
-            keep[i, j] = True
-            newid[i, j] = len(verts)
-            verts.append((xs[i], xs[j]))
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            if xs[i] >= 0.0 and xs[j] < 0.0:
-                continue  # excluded cell
-            a, b = newid[i, j], newid[i + 1, j]
-            c, d = newid[i + 1, j + 1], newid[i, j + 1]
-            tris.append((b, c, a))
-            tris.append((d, a, c))
-    return Mesh(np.array(verts), np.array(tris), LSHAPE)
+def _inside(polygon, pts):
+    """Whether the points (n, 2) lie inside the corner loop, by the
+    crossing number of a ray in +x."""
+    x, y = pts.T
+    inside = np.zeros(len(pts), dtype=bool)
+    for a, b in zip(polygon, np.roll(polygon, -1, axis=0)):
+        if a[1] != b[1]:
+            cross = (a[1] > y) != (b[1] > y)
+            inside ^= cross & (x < a[0] + (y - a[1]) * (b[0] - a[0])
+                               / (b[1] - a[1]))
+    return inside
 
 
 def build_domain_mesh(domain, n):
-    if domain == UNIT_SQUARE:
-        return build_unit_square(n)
-    if domain == LSHAPE:
-        return build_lshape(n)
-    raise ValueError(f"unknown domain {domain!r}")
+    """Structured mesh of the domain: the cells of side 1/n of its
+    bounding box whose centre lies inside its corner loop, each split
+    along its lower-left to upper-right diagonal into two right
+    isosceles triangles, peak first.  Vertices and cells are numbered
+    with x outer and y inner; grid vertices of no kept cell are dropped.
+    """
+    if n < 1:
+        raise ValueError("subdivision count must be >= 1")
+    poly = domain_polygon(domain)
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    xs, ys = (np.linspace(lo[i], hi[i], int(round((hi[i] - lo[i]) * n)) + 1)
+              for i in range(2))
+    ny = len(ys)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(len(xs) - 1),
+                                           np.arange(ny - 1), indexing="ij"))
+    centres = np.column_stack([(xs[i] + xs[i + 1]) / 2,
+                               (ys[j] + ys[j + 1]) / 2])
+    keep = _inside(poly, centres)
+    a = i[keep] * ny + j[keep]
+    b, c, d = a + ny, a + ny + 1, a + 1
+    used, tris = np.unique(np.column_stack([b, c, a, d, a, c]),
+                           return_inverse=True)
+    verts = np.column_stack([X.ravel(), Y.ravel()])[used]
+    return Mesh(verts, tris.reshape(-1, 3), domain)
+
+
+def build_unit_square(n):
+    """build_domain_mesh of the unit square: 2*n^2 triangles."""
+    return build_domain_mesh(UNIT_SQUARE, n)
+
+
+def build_lshape(n):
+    """build_domain_mesh of the L-shape: 6*n^2 triangles."""
+    return build_domain_mesh(LSHAPE, n)
 
 
 def refine(mesh, marked):

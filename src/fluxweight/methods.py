@@ -16,9 +16,10 @@ points) as one local matrix per facet.  Each system matrix is one
 conversion of the element stiffness matrices and these facet matrices
 (fem.assemble_matrix), with no sparse sums or block stacking.  The
 solve's load pass also gives integral f (the sum of its load vector)
-and integral |f|; the DiscreteSolution keeps both with the rule's
-degree, for the compatibility defect and its scale.  The Lagrange
-multiplier method is the alpha = 0 case of the Barbosa-Hughes solve.
+and integral |f|; the DiscreteSolution keeps both for the compatibility
+defect and its scale, which integrates by the solve's own rules, those
+of FeSpace.degree.  The Lagrange multiplier method is the alpha = 0
+case of the Barbosa-Hughes solve.
 
 Dirichlet data enters weakly everywhere: nothing is interpolated
 nodally.  The `sign` argument selects the symmetric (-1) or the
@@ -156,9 +157,8 @@ class DiscreteSolution:
     gamma: Optional[float] = None
     alpha: Optional[float] = None
     sign: int = 1
-    # the quadrature degree of the solve, and integral f and integral |f|
-    # by its load rule (integral f is the sum of the load vector)
-    degree: Optional[int] = None
+    # integral f and integral |f| by the load rule of the solve
+    # (integral f is the sum of the load vector)
     f_integral: float = np.nan
     abs_f_integral: float = np.nan
 
@@ -217,7 +217,7 @@ class DiscreteSolution:
                                 self.problem.g(x, y))
 
 
-def _prologue(problem, mesh, k, degree):
+def _prologue(problem, mesh, k):
     """What every solver starts from: the bulk space of order k, its
     element stiffness matrices, its load vector with the integrals of f
     and |f| by the same rule, and the boundary data on the facet rule t,
@@ -225,18 +225,15 @@ def _prologue(problem, mesh, k, degree):
     and the weights w_q h_F, with the dofs of each facet
     (t, vals, adn, dofs, gv, lenw)."""
     space = FeSpace(mesh, k)
-    if degree is None:
-        degree = 2 * k + 4
-    Ke = fem.element_stiffness(space, problem.a, degree)
-    F, abs_f = fem.assemble_load_sums(space, problem.f, degree)
-    t, w = segment_rule(degree)
+    Ke = fem.element_stiffness(space, problem.a)
+    F, abs_f = fem.assemble_load_sums(space, problem.f)
+    t, w = segment_rule(space.degree)
     vals, grads, dofs = fem.facet_basis(space, t, gradients=True)
     x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
     adn = (problem.a(x, y)[..., None]
            * np.einsum("fqja,fa->fqj", grads, mesh.bf_normal))
     lenw = w * mesh.bf_len[:, None]
-    loads = dict(degree=degree, f_integral=float(F.sum()),
-                 abs_f_integral=abs_f)
+    loads = dict(f_integral=float(F.sum()), abs_f_integral=abs_f)
     return space, Ke, F, loads, (t, vals, adn, dofs, problem.g(x, y), lenw)
 
 
@@ -249,7 +246,7 @@ def _pair(vals_i, vals_j, weight):
     return np.einsum("fqi,fqj,fq->fij", vi, vj, weight)
 
 
-def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
+def _solve_multiplier(method, problem, mesh, k, kprime, continuous,
                       alpha=0.0, sign=1):
     """The solve of both multiplier methods: [[A, -C], [-C^T, 0]] x =
     [F, -G], and with alpha > 0 the matrix gains
@@ -260,7 +257,7 @@ def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
     alpha == 0 or sign == -1."""
     bspace = BoundarySpace(mesh, kprime, continuous)
     space, Ke, F, loads, (t, vals, adn, dofs, gv, lenw) = _prologue(
-        problem, mesh, k, degree)
+        problem, mesh, k)
     mvals = bspace.eval(t)
     nb, nm = space.ndof, bspace.ndof
     mdofs = nb + bspace.facet_dofs
@@ -285,29 +282,27 @@ def _solve_multiplier(method, problem, mesh, k, kprime, continuous, degree,
                             **loads)
 
 
-def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False,
-                   degree=None):
+def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False):
     """Mixed Galerkin solve: the flux is an unknown multiplier.
 
     The multiplier equation enforces the Dirichlet data weakly; the
     bulk equation carries -integral(lambda_h v) on its left-hand side.
     """
-    return _solve_multiplier(LAGRANGE, problem, mesh, k, kprime, continuous,
-                             degree)
+    return _solve_multiplier(LAGRANGE, problem, mesh, k, kprime, continuous)
 
 
 def solve_barbosa_hughes(problem, mesh, k=2, kprime=0, continuous=False,
-                         alpha=0.1, sign=1, degree=None):
+                         alpha=0.1, sign=1):
     """Stabilized mixed solve with the flux-mismatch penalty alpha."""
     if alpha <= 0:
         raise ValueError("stabilization parameter must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return _solve_multiplier(BARBOSA_HUGHES, problem, mesh, k, kprime,
-                             continuous, degree, alpha, sign)
+                             continuous, alpha, sign)
 
 
-def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1, degree=None):
+def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1):
     """Penalty-consistent weak imposition of the Dirichlet data.
 
     The matrix A - N1 + sign N1^T + P is one conversion of the element
@@ -316,7 +311,7 @@ def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1, degree=None):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     space, Ke, F, loads, (t, vals, adn, dofs, gv, lenw) = _prologue(
-        problem, mesh, k, degree)
+        problem, mesh, k)
     n = space.ndof
     hF = mesh.bf_len[:, None]
     N1 = _pair(vals, adn, lenw)     # v * a dn(u)
@@ -340,7 +335,7 @@ def compatibility_defect(solution):
     exactly.
     """
     mesh = solution.mesh
-    t, w = segment_rule(solution.degree)
+    t, w = segment_rule(solution.space.degree)
     lam = solution.flux_values(
         np.arange(mesh.num_boundary_facets)[:, None], t)
     return float((lam @ w) @ mesh.bf_len) + solution.f_integral

@@ -24,10 +24,9 @@ multiplier flux.  On the cells that lie inside one boundary facet,
 each step then turns the facet's Gauss-averaged discrete flux into one
 polynomial in the cell's index within the facet and expands it with
 one Horner pass, so that a step costs a handful of passes over the 2^M
-cells whatever the mesh.  The cells that a facet end cuts are
-integrated piece by piece with the same rule, as every cell of any
-other BoundaryFunction is.  M and the quadrature are those of the
-piecewise evaluation.
+cells whatever the mesh.  Any other BoundaryFunction has every cell
+integrated whole by the same rule.  Then, for both, the cells that a
+breakpoint cuts are integrated again piece by piece (_cut_pieces).
 """
 
 import logging
@@ -39,6 +38,7 @@ import numpy as np
 
 from . import fem
 from .fem import FeSpace, SparseSystem
+from .mesh import boundary_at, polygon_sides
 from .quadrature import segment_rule
 
 # analysis low-pass filter of the (2,2)-biorthogonal wavelet; the taps
@@ -106,27 +106,13 @@ def flux_error_function(solution):
     return FluxError(mesh, ev, solution=solution)
 
 
-def _split_pieces(starts, total, breakpoints):
-    """Split [0, total) at interval starts and breakpoints.
-
-    Returns (left, right, owner) where owner indexes the interval of
-    `starts` containing each piece.  Degenerate slivers are dropped.
-    """
-    edges = np.unique(np.concatenate(
-        [starts, np.mod(breakpoints, total), [0.0, total]]))
-    left, right = edges[:-1], edges[1:]
-    keep = (right - left) > 1e-14 * total
-    left, right = left[keep], right[keep]
-    owner = np.searchsorted(starts, 0.5 * (left + right), side="right") - 1
-    return left, right, owner
-
-
 def _cut_pieces(total, n, breakpoints):
     """The cells of the n equal cells of [0, total) that a breakpoint
     cuts, and their pieces.
 
-    Returns (cells, left, right, owner) with the pieces that
-    _split_pieces gives for those cells.  Cell k starts at k * width;
+    Returns (cells, left, right, owner): the pieces of [0, total) split
+    at the cell starts and the breakpoints (slivers below 1e-14 * total
+    dropped) that lie in those cells.  Cell k starts at k * width;
     with total / n a power of two (perimeter 4 or 8, n = 2^M) every
     product and quotient below is exact.
     """
@@ -178,11 +164,8 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
     key = (polygon.tobytes(), M, with_data)
     if key in problem.dyadic_cache:
         return problem.dyadic_cache[key]
-    side_vec = np.roll(polygon, -1, axis=0) - polygon
-    side_len = np.hypot(*side_vec.T)
-    cum = np.concatenate([[0.0], np.cumsum(side_len)])
     n = 1 << M
-    total = cum[-1]
+    total = polygon_sides(polygon)[2][-1]
     lam = np.zeros(n)
     g = np.zeros(n) if with_data else None
     a0 = a_pts = None
@@ -190,20 +173,9 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
         starts = total * np.arange(lo, min(lo + _CHUNK, n)) / n
         cells = slice(lo, lo + len(starts))
         # every rule point of the chunk's cells, row q for the rule's
-        # point q; a row is ascending, so each side takes one run of it
+        # point q
         s = starts + (total / n) * gp[:, None]
-        x, y, nx, ny = np.empty((4,) + s.shape)
-        for q, row in enumerate(s):
-            bounds = np.concatenate([[0], np.searchsorted(row, cum[1:-1]),
-                                     [len(row)]])
-            for k in range(len(polygon)):
-                run = slice(bounds[k], bounds[k + 1])
-                t = (row[run] - cum[k]) / side_len[k]
-                x[q, run] = polygon[k, 0] + t * side_vec[k, 0]
-                y[q, run] = polygon[k, 1] + t * side_vec[k, 1]
-                nx[q, run] = side_vec[k, 1] / side_len[k]
-                ny[q, run] = -side_vec[k, 0] / side_len[k]
-        x, y, nx, ny = x.ravel(), y.ravel(), nx.ravel(), ny.ravel()
+        x, y, nx, ny = boundary_at(polygon, s.ravel())
         if with_data:
             lam_q, g_q = problem.boundary_values(x, y, nx, ny)
         else:
@@ -309,11 +281,12 @@ def sample_to_dyadic(v, M):
 
     Entry k is 2^(M/2)/|boundary| times the integral of v over the k-th
     dyadic cell, counterclockwise from the anchor.  Integration cells
-    are split at the facet endpoints so piecewise-polynomial traces are
-    integrated exactly.  For a FluxError, the cells that lie inside one
-    facet are integrated from its solution's BoundaryFlux and the cached
-    Gauss sums of the boundary data over each cell; only the cut cells
-    go through `evaluate`.
+    that a breakpoint cuts are split there, so piecewise-polynomial
+    traces are integrated exactly.  The other cells are integrated whole:
+    for a FluxError from its solution's BoundaryFlux and the cached
+    Gauss sums of the boundary data over each cell, for any other
+    BoundaryFunction through `evaluate`.  The cut cells are then zeroed
+    and integrated piece by piece through `evaluate`.
     """
     if M < 3:
         raise ValueError("dyadic level must be at least 3")
@@ -324,12 +297,12 @@ def sample_to_dyadic(v, M):
     gp, gw = segment_rule(5)
     if isinstance(v, FluxError):
         out = _flux_error_cells(v.solution, M, gp, gw)
-        cells, left, right, owner = _cut_pieces(total, n, v.breakpoints)
-        out[cells] = 0.0
     else:
         out = np.zeros(n)
-        left, right, owner = _split_pieces(total * np.arange(n) / n, total,
-                                           v.breakpoints)
+        edges = total * np.arange(n + 1) / n
+        _integrate_pieces(v, edges[:-1], edges[1:], np.arange(n), out, gp, gw)
+    cells, left, right, owner = _cut_pieces(total, n, v.breakpoints)
+    out[cells] = 0.0
     _integrate_pieces(v, left, right, owner, out, gp, gw)
     out *= 2.0 ** (M / 2.0) / total
     return out

@@ -236,6 +236,22 @@ def bulk_trace(solution, facet_ids, t):
             gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1])
 
 
+def split_pieces(starts, total, breakpoints):
+    """Split [0, total) at interval starts and breakpoints.
+
+    Returns (left, right, owner) where owner indexes the interval of
+    `starts` containing each piece.  Degenerate slivers are dropped.
+    The reference that norms._cut_pieces is checked against.
+    """
+    edges = np.unique(np.concatenate(
+        [starts, np.mod(breakpoints, total), [0.0, total]]))
+    left, right = edges[:-1], edges[1:]
+    keep = (right - left) > 1e-14 * total
+    left, right = left[keep], right[keep]
+    owner = np.searchsorted(starts, 0.5 * (left + right), side="right") - 1
+    return left, right, owner
+
+
 def exact_flux_integral_defect(solution, degree=16):
     """integral(lambda - lambda_h) computed with high-degree quadrature."""
     problem = solution.problem

@@ -85,14 +85,24 @@ def test_manifest_determinism(tmp_path):
         assert la.split(",")[:-1] == lb.split(",")[:-1]
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    report_s, _, _ = run_experiment(small_manifest(), tmp_path / "ser",
-                                    jobs=1)
-    report_p, _, _ = run_experiment(small_manifest(), tmp_path / "par",
-                                    jobs=2)
-    a = (tmp_path / "ser" / "uni" / "table.csv").read_text()
-    b = (tmp_path / "par" / "uni" / "table.csv").read_text()
-    assert a == b
+def test_studies_together_match_each_alone(tmp_path):
+    # two studies take one thread each where two CPUs are available; the
+    # tables must not see it (a record's last column is its seconds)
+    def rows(path):
+        lines = path.read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    manifest = small_manifest()
+    run_experiment(manifest, tmp_path / "both")
+    for study in manifest["studies"]:
+        name = study["name"]
+        run_experiment(small_manifest(studies=[study], assertions=[]),
+                       tmp_path / name)
+        both, alone = tmp_path / "both" / name, tmp_path / name / name
+        assert rows(both / "record.csv") == rows(alone / "record.csv")
+        if name == "uni":
+            assert ((both / "table.csv").read_text()
+                    == (alone / "table.csv").read_text())
 
 
 def test_assertion_vocabulary(tmp_path):

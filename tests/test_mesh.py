@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from fluxweight import mesh as meshmod
-from fluxweight.mesh import (boundary_band, boundary_graded,
+from fluxweight.mesh import (Mesh, boundary_at, boundary_band,
+                             boundary_graded, build_domain_mesh,
                              build_graded_mesh, build_lshape,
                              build_unit_square, check_mesh,
                              compute_distance_field, distance_to_boundary,
-                             refine, shape_regularity, uniform_refine)
+                             domain_polygon, polygon_sides,
+                             project_to_boundary, refine, shape_regularity,
+                             uniform_refine)
 
 
 def test_unit_square_counts(square4):
@@ -54,6 +57,62 @@ def test_lshape_reentrant_corner():
     turn = np.arctan2(cross, np.dot(tin, tout))
     interior = np.pi - turn
     assert abs(interior - 1.5 * np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("domain, n", [("unit-square", 1), ("unit-square", 3),
+                                       ("l-shape", 1), ("l-shape", 3)])
+def test_structured_mesh_numbers_the_grid_x_outer(domain, n):
+    # a plain loop over the grid, x outer: each kept cell (centre inside
+    # the domain) gives (b, c, a) and (d, a, c), and the vertices keep
+    # their grid order with those of no kept cell left out
+    lo = -1.0 if domain == "l-shape" else 0.0
+    m = 2 * n if domain == "l-shape" else n
+    xs = np.linspace(lo, 1.0, m + 1)
+
+    def inside(x, y):
+        return not (domain == "l-shape" and x > 0 and y < 0)
+
+    cells = [(i, j) for i in range(m) for j in range(m)
+             if inside((xs[i] + xs[i + 1]) / 2, (xs[j] + xs[j + 1]) / 2)]
+    used = sorted({(i + di, j + dj) for i, j in cells
+                   for di in (0, 1) for dj in (0, 1)})
+    vid = {v: k for k, v in enumerate(used)}
+    tris = []
+    for i, j in cells:
+        a, b = vid[i, j], vid[i + 1, j]
+        c, d = vid[i + 1, j + 1], vid[i, j + 1]
+        tris += [(b, c, a), (d, a, c)]
+    mesh = build_domain_mesh(domain, n)
+    assert np.array_equal(mesh.vertices, [(xs[i], xs[j]) for i, j in used])
+    assert np.array_equal(mesh.triangles, tris)
+    check_mesh(mesh)
+
+
+@pytest.mark.parametrize("domain", ["unit-square", "l-shape"])
+def test_boundary_at_inverts_the_chart(domain):
+    poly = domain_polygon(domain)
+    _, _, cum = polygon_sides(poly)
+    rng = np.random.default_rng(3)
+    s = np.r_[cum[:-1], rng.uniform(0.0, cum[-1], 200)]
+    x, y, nx, ny = boundary_at(poly, s)
+    back, dist = project_to_boundary(poly, np.column_stack([x, y]))
+    assert np.allclose(back, s, rtol=0.0, atol=1e-14)
+    assert (dist <= 1e-15).all()
+    # each corner starts its side, whose outward normal it takes
+    assert np.array_equal(np.column_stack([x, y])[:len(poly)], poly)
+    assert np.allclose(np.hypot(nx, ny), 1.0)
+    step = np.column_stack([x + 1e-3 * nx, y + 1e-3 * ny])
+    away = distance_to_boundary(domain, step)
+    assert np.allclose(away[~np.isin(s, cum)], 1e-3)
+    assert not meshmod._inside(poly, step).any()
+
+
+def test_chart_refuses_a_vertex_off_the_boundary():
+    m = build_unit_square(2)
+    verts = m.vertices.copy()
+    verts[np.all(verts == [0.5, 0.0], axis=1)] = [0.5, 0.1]
+    with pytest.raises(ValueError, match="not on the domain boundary"):
+        Mesh(verts, m.triangles, "unit-square")
 
 
 def test_refine_empty_marks_identity(square4):

@@ -18,7 +18,7 @@ from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
 from conftest import (distorted_square4, make_gentle_problem,
-                      pinned_stiffness, uncondensed_dual_error)
+                      pinned_stiffness, split_pieces, uncondensed_dual_error)
 
 
 def test_filter_taps_bit_for_bit():
@@ -458,12 +458,28 @@ def test_dyadic_cells_by_arithmetic_match_search():
             cells, left, right, owner = norms._cut_pieces(total, n,
                                                           mesh.bf_s0)
             assert np.array_equal(cells, cut)
-            ref = norms._split_pieces(starts, total, mesh.bf_s0)
+            ref = split_pieces(starts, total, mesh.bf_s0)
             sel = np.isin(ref[2], cut)
             for got, expect in zip((left, right, owner), ref):
                 assert np.array_equal(got, expect[sel])
             if case.startswith("graded") and M > 3:
                 assert len(cut) > 0
+
+
+def test_generic_e2_integrates_the_split_at_every_breakpoint():
+    # whole cells first, then the cut cells piece by piece: the same cell
+    # integrals as one split of every cell at the breakpoints
+    m = build_graded_mesh("unit-square", 0.3, initial_n=3)
+    v = BoundaryFunction(m, lambda f, t: np.cos(7.0 * f + 3.0 * t) + t * t)
+    M, total = 10, m.perimeter
+    n = 1 << M
+    gp, gw = segment_rule(5)
+    expect = np.zeros(n)
+    left, right, owner = split_pieces(total * np.arange(n) / n, total,
+                                      v.breakpoints)
+    norms._integrate_pieces(v, left, right, owner, expect, gp, gw)
+    expect *= 2.0 ** (M / 2.0) / total
+    assert np.array_equal(sample_to_dyadic(v, M), expect)
 
 
 def test_second_e2_evaluates_exact_flux_on_cut_cells_only():

@@ -1,0 +1,55 @@
+"""Golden records of the benchmark workloads.
+
+tests/data/records/<workload>.csv holds the record.csv that
+`fluxweight run bench/workloads/<workload>.json` writes.  Each workload
+is rerun here and every column but `seconds` must agree within 1e-12
+relative, with empty cells equal.  A change that moves a record on
+purpose regenerates the files (run the manifest, copy its record.csv)
+and lists every moved value in CHANGES.md.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from fluxweight.experiments import run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "records"
+WORKLOADS = sorted(p.stem for p in GOLDEN.glob("*.csv"))
+
+
+def _read(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_every_workload_has_a_golden_record():
+    manifests = sorted(p.stem for p in (ROOT / "bench" / "workloads")
+                       .glob("*.json"))
+    assert WORKLOADS == manifests
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_record_matches_golden(workload, tmp_path):
+    manifest = json.loads(
+        (ROOT / "bench" / "workloads" / f"{workload}.json").read_text())
+    _, _, results = run_experiment(manifest, tmp_path)
+    (study,) = results
+    got = _read(tmp_path / study / "record.csv")
+    want = _read(GOLDEN / f"{workload}.csv")
+    assert len(got) == len(want)
+    assert list(got[0]) == list(want[0])
+    for step, (g, w) in enumerate(zip(got, want)):
+        for col in w:
+            if col == "seconds":
+                continue
+            if w[col] == "" or g[col] == "":
+                assert g[col] == w[col], (step, col)
+                continue
+            a, b = float(g[col]), float(w[col])
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (
+                step, col, a, b)
