@@ -5,8 +5,10 @@
     fluxweight demo-weights [--k 2] [--c2 1.0] [--steps 7] [--out DIR]
     fluxweight list-problems
 
-`run` runs the manifest's studies on as many threads as it has
-studies, up to the CPUs available to the process.
+`run` checks the manifest's keys and study names, then runs its studies
+on as many threads as it has studies, up to the CPUs available to the
+process; each thread is named after its study, and every log line
+carries the name of its thread.
 """
 
 import argparse
@@ -43,7 +45,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+        format="%(levelname)s %(threadName)s %(name)s: %(message)s",
+        stream=sys.stderr)
 
     if args.command == "list-problems":
         from .problems import problem_data, problem_names
@@ -53,13 +56,13 @@ def main(argv=None):
         return 0
 
     if args.command == "demo-weights":
-        from .driver import weight_demo
+        from .driver import AmrConfig, weight_demo
         from .experiments import write_weight_summary
         from .mesh import dump_mesh
+        config = AmrConfig(k=args.k, c2=args.c2, theta=args.theta)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        meshes = weight_demo(k=args.k, c2=args.c2, steps=args.steps,
-                             theta=args.theta)
+        meshes = weight_demo(config, args.steps)
         nb, ct = write_weight_summary(meshes, out / "summary.csv")
         for i, msh in enumerate(meshes):
             dump_mesh(msh, out / f"mesh_step{i}.txt")

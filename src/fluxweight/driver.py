@@ -1,6 +1,7 @@
 """The adaptive loop (solve -> estimate -> mark -> refine), uniform
 refinement studies, and boundary-concentrated mesh studies, each a loop
-over one `step`.
+over one `step`, and the weight demo (marking on the weight alone);
+each takes its parameters from one AmrConfig.
 
 Every study returns a ConvergenceRecord and the state of its last step;
 the error columns are E2 (the wavelet dual-norm surrogate, evaluated at
@@ -304,20 +305,20 @@ def graded_study(config, h_list):
     return record, state
 
 
-def weight_demo(k=2, c2=1.0, steps=7, theta=0.5, initial_n=4,
-                domain="unit-square"):
-    """Mark-and-refine on the dual weight itself (no solve).
+def weight_demo(config, steps):
+    """Mark-and-refine `steps` times on the dual weight of `config`
+    alone (no solve), from the initial mesh of its problem's domain.
 
     Returns the list of meshes after each step; demonstrates that the
     weight alone concentrates refinement at the boundary.
     """
-    wcfg = est.WeightConfig(1.0, c2, k)
-    mesh = build_domain_mesh(domain, initial_n)
+    mesh = build_domain_mesh(problem_data(config.problem).domain,
+                             config.initial_n)
     out = [mesh]
     for _ in range(steps):
         sigma = est.weight_element(mesh.h_T, compute_distance_field(mesh),
-                                   wcfg)
-        mesh = refine(mesh, mark(sigma, theta))
+                                   config.weight_config())
+        mesh = refine(mesh, mark(sigma, config.theta))
         out.append(mesh)
     return out
 

@@ -89,17 +89,16 @@ def compute_residuals(solution):
     elementwise; boundary seminorms differentiate along the facet.
     """
     mesh = solution.mesh
-    degree = solution.space.degree
-    r1T = _volume_residual(solution, degree)
-    r0F = _flux_jumps(solution, degree)
-    r1F, r2F, r3F, patch_sq = _boundary_residuals(solution, degree)
+    r1T = _volume_residual(solution)
+    r0F = _flux_jumps(solution)
+    r1F, r2F, r3F, patch_sq = _boundary_residuals(solution)
     return Residuals(r1T, mesh.interior_edges, r0F, r1F, r2F, r3F, patch_sq)
 
 
-def _volume_residual(solution, degree):
+def _volume_residual(solution):
     space, problem = solution.space, solution.problem
     mesh = space.mesh
-    qp, qw = triangle_rule(degree)
+    qp, qw = triangle_rule(space.degree)
     href = space.element.hess(qp)          # (nq, nd, 3)
     out = np.empty(mesh.num_triangles)
     for blk in fem._blocks(mesh.num_triangles):
@@ -120,7 +119,7 @@ def _volume_residual(solution, degree):
     return mesh.h_T * out
 
 
-def _flux_jumps(solution, degree):
+def _flux_jumps(solution):
     """h^1/2 ||jump of a dn(u_h)||_F per interior edge.
 
     The quadrature points of an edge sit at fixed places on a reference
@@ -132,7 +131,7 @@ def _flux_jumps(solution, degree):
     edges = mesh.interior_edges
     if len(edges) == 0:
         return np.zeros(0)
-    t, w = segment_rule(degree)
+    t, w = segment_rule(space.degree)
     ev = mesh.edges[edges]
     P = mesh.vertices[ev[:, 0]]
     Q = mesh.vertices[ev[:, 1]]
@@ -162,7 +161,7 @@ def _flux_jumps(solution, degree):
     return np.sqrt(L) * np.sqrt(norm_sq)
 
 
-def _boundary_residuals(solution, degree):
+def _boundary_residuals(solution):
     """r1F, r2F, r3F and r(F,P)^2 for both vertices of every boundary
     facet, with g, its tangential derivative and the trace of u_h
     evaluated once on the facet rule.
@@ -174,7 +173,7 @@ def _boundary_residuals(solution, degree):
     mesh = solution.mesh
     problem = solution.problem
     nbf = mesh.num_boundary_facets
-    t, w = segment_rule(degree)
+    t, w = segment_rule(solution.space.degree)
     L = mesh.bf_len
     u, dn = solution.trace
 

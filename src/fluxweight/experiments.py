@@ -1,7 +1,9 @@
 """Manifest-driven experiment runner.
 
 A manifest is a JSON object with method/estimator parameters and a list
-of studies; each study may override any parameter.  The runner writes
+of studies; each study may override any parameter.  A key that neither
+the manifest nor its study knows, or two studies of one name, stop the
+run before any study starts.  The runner writes
 per-study directories with the convergence record CSV, derived rate
 tables, self-contained SVG log-log plots, and optional mesh/indicator/
 pyramid dumps, then evaluates the manifest's assertions.  The process
@@ -11,6 +13,7 @@ exit code is zero exactly when every assertion passes.
 import json
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +35,7 @@ _CONFIG_KEYS = {
     "theta": "theta", "budget": "budget", "M": "wavelet_level",
     "initial_n": "initial_n",
 }
+_STUDY_KEYS = {"name", "type", "levels", "e1_levels", "h_list", "steps"}
 
 
 def config_from(manifest, overrides=None):
@@ -82,9 +86,31 @@ def write_weight_summary(meshes, path):
     return nb, ct
 
 
+def _study_name(study):
+    return study.get("name") or study["type"]
+
+
+def check_manifest(manifest):
+    """Raise ValueError at a key that neither the manifest nor a study
+    knows, or at two studies of one name."""
+    unknown = sorted(set(manifest) - set(_CONFIG_KEYS)
+                     - {"studies", "assertions"})
+    if unknown:
+        raise ValueError(f"unknown manifest key {unknown[0]!r}")
+    names = set()
+    for study in manifest.get("studies", []):
+        name = _study_name(study)
+        unknown = sorted(set(study) - set(_CONFIG_KEYS) - _STUDY_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in study {name!r}")
+        if name in names:
+            raise ValueError(f"two studies named {name!r}")
+        names.add(name)
+
+
 def run_study(study, manifest, out_dir, dumps):
     """Execute one study dict; returns a StudyResult."""
-    name = study.get("name") or study["type"]
+    name = _study_name(study)
     kind = study["type"]
     cfg = config_from(manifest, study)
     sdir = Path(out_dir) / name
@@ -108,10 +134,7 @@ def run_study(study, manifest, out_dir, dumps):
         if study.get("h_list"):
             records["graded"], _ = driver.graded_study(cfg, study["h_list"])
     elif kind == "weight_demo":
-        meshes = driver.weight_demo(k=cfg.k, c2=cfg.c2,
-                                    steps=study.get("steps", 7),
-                                    theta=cfg.theta,
-                                    initial_n=cfg.initial_n)
+        meshes = driver.weight_demo(cfg, study.get("steps", 7))
         write_weight_summary(meshes, sdir / "summary.csv")
         if dumps.get("mesh"):
             dump_mesh(meshes[-1], sdir / "final_mesh.txt")
@@ -209,12 +232,14 @@ def run_experiment(manifest, out_dir, dump_mesh_flag=False,
     """Run all studies of the manifest; returns (report dict, ok flag,
     results by study name).
 
-    The studies run on min(studies, CPUs available to the process)
-    threads; a lone study runs in the calling thread.
+    The manifest is checked first (check_manifest).  The studies run on
+    min(studies, CPUs available to the process) threads, each named
+    after the study it runs; a lone study runs in the calling thread.
     """
     if isinstance(manifest, (str, Path)):
         with open(manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
+    check_manifest(manifest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dumps = {"mesh": dump_mesh_flag, "indicators": dump_indicators_flag,
@@ -225,9 +250,12 @@ def run_experiment(manifest, out_dir, dump_mesh_flag=False,
             else os.cpu_count() or 1)
     threads = min(len(studies), cpus)
     if threads > 1:
+        def run_named(study):
+            threading.current_thread().name = _study_name(study)
+            return run_study(study, manifest, out, dumps)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(
-                lambda s: run_study(s, manifest, out, dumps), studies))
+            done = list(pool.map(run_named, studies))
     else:
         done = [run_study(s, manifest, out, dumps) for s in studies]
     results = {res.name: res for res in done}

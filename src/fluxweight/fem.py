@@ -23,6 +23,7 @@ triangles.  SuperLU keeps that order and gets large dense supernodes;
 see solve for the fill and the factor times against reverse
 Cuthill-McKee with minimum degree.
 
+Every rule on a space is the space's own (FeSpace.degree).
 Bulk kernels do their per-point work on the reference element and map to
 physical coordinates once per triangle.  The stiffness matrix uses the
 reference tensor S[q, b, c, i, j] = d_b phi_i d_c phi_j at the quadrature
@@ -70,7 +71,7 @@ class FeSpace:
     mesh-order independent.  The first skeleton_ndof DOFs are those of
     the vertices and edges, the unknowns that static condensation keeps.
     `degree`, 2 * order + 4, is the quadrature degree of every bulk and
-    boundary rule of the solve on this space.
+    boundary rule on this space, E1's included.
     """
 
     def __init__(self, mesh, order):
@@ -335,11 +336,11 @@ def _blocks(n, size=_BLOCK):
 
 
 @lru_cache(maxsize=None)
-def _stiffness_tensor(order, degree):
+def _stiffness_tensor(order):
     """Reference tensor S[q, b, c, i, j] = d_b phi_i d_c phi_j at the
-    points of the degree rule, as a (nq * 4, nd * nd) matrix, and its
+    points of its space's rule, as a (nq * 4, nd * nd) matrix, and its
     weighted sum over q, as a (4, nd * nd) matrix."""
-    qp, qw = triangle_rule(degree)
+    qp, qw = triangle_rule(2 * order + 4)
     g = reference_element(order).grad(qp)  # (nq, nd, 2)
     nq, nd, _ = g.shape
     S = np.einsum("qib,qjc->qbcij", g, g).reshape(nq, 4, nd * nd)
@@ -349,13 +350,12 @@ def _stiffness_tensor(order, degree):
     return S, Sw
 
 
-def element_stiffness(space, a=None, degree=None):
+def element_stiffness(space, a=None):
     """Element matrices of the diffusion form with scalar coefficient a,
     shape (triangles, nd, nd), written block by block into one array."""
     mesh, nd = space.mesh, space.element.ndof
-    degree = space.degree if degree is None else degree
-    qp, qw = triangle_rule(degree)
-    S, Sw = _stiffness_tensor(space.order, degree)
+    qp, qw = triangle_rule(space.degree)
+    S, Sw = _stiffness_tensor(space.order)
     Ke = np.empty((mesh.num_triangles, nd * nd))
     for blk in _blocks(mesh.num_triangles):
         _, invJT, det = mesh.jacobians(blk)
@@ -397,7 +397,7 @@ def assemble_matrix(shape, terms):
     return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-def assemble_stiffness(space, a=None, degree=None):
+def assemble_stiffness(space, a=None):
     """Stiffness matrix of the diffusion form with scalar coefficient a.
 
     With no boundary terms the result is symmetric positive semidefinite
@@ -405,15 +405,14 @@ def assemble_stiffness(space, a=None, degree=None):
     """
     td = space.tri_dofs
     return assemble_matrix((space.ndof, space.ndof),
-                           [(td, td, element_stiffness(space, a, degree))])
+                           [(td, td, element_stiffness(space, a))])
 
 
-def assemble_load_sums(space, f, degree=None):
+def assemble_load_sums(space, f):
     """Load vector b_i = integral of f * phi_i, and integral |f| by the
     same rule: sum |f(x_q)| w_q det J.  The sum of b is integral f."""
     mesh, el = space.mesh, space.element
-    degree = space.degree if degree is None else degree
-    qp, qw = triangle_rule(degree)
+    qp, qw = triangle_rule(space.degree)
     vref = el.eval(qp)  # (nq, nd)
     be = np.empty((mesh.num_triangles, el.ndof))
     abs_f = 0.0
@@ -429,15 +428,14 @@ def assemble_load_sums(space, f, degree=None):
     return b, float(abs_f)
 
 
-def assemble_load(space, f, degree=None):
+def assemble_load(space, f):
     """Load vector b_i = integral of f * phi_i."""
-    return assemble_load_sums(space, f, degree)[0]
+    return assemble_load_sums(space, f)[0]
 
 
-def boundary_integral_vector(space, degree=None):
+def boundary_integral_vector(space):
     """Vector c_i = integral of phi_i over the boundary."""
-    degree = space.degree if degree is None else degree
-    t, w = segment_rule(degree)
+    t, w = segment_rule(space.degree)
     vals, _, dofs = facet_basis(space, t)
     return facet_vector(space.ndof, dofs, vals,
                         w * space.mesh.bf_len[:, None])
@@ -542,11 +540,10 @@ def solve(system):
     return x
 
 
-def h1_seminorm_error(space, coeffs, grad_exact, degree=None):
+def h1_seminorm_error(space, coeffs, grad_exact):
     """|grad(u - u_h)| over the mesh, with grad_exact(x, y) -> (..., 2)."""
     mesh = space.mesh
-    degree = space.degree if degree is None else degree
-    qp, qw = triangle_rule(degree)
+    qp, qw = triangle_rule(space.degree)
     total = 0.0
     for blk in _blocks(mesh.num_triangles):
         _, _, det = mesh.jacobians(blk)

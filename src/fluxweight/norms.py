@@ -382,7 +382,7 @@ def wavelet_norm(v, M=20):
     return wavelet_norm_of_vector(sample_to_dyadic(v, M))
 
 
-def _condensed_stiffness(space, degree):
+def _condensed_stiffness(space):
     """Stiffness matrix (coefficient 1) on the vertex and edge unknowns
     of space, the first space.skeleton_ndof, with the element-interior
     unknowns eliminated triangle by triangle (static condensation).
@@ -394,7 +394,7 @@ def _condensed_stiffness(space, degree):
     interior unknowns with the others fixed at x.
     """
     ns = space.element.ndof - space.element.n_interior_dofs
-    Ke = fem.element_stiffness(space, degree=degree)
+    Ke = fem.element_stiffness(space)
     Ksb = Ke[:, :ns, ns:]
     S = Ksb @ np.linalg.solve(Ke[:, ns:, ns:], Ksb.transpose(0, 2, 1))
     np.subtract(Ke[:, :ns, :ns], S, out=S)
@@ -428,6 +428,7 @@ def neumann_dual_error(delta, fine_mesh, order):
     (_condensed_stiffness): their basis functions vanish on the
     boundary, so the load does not see them, and the energy of w is
     that of its vertex and edge part under the condensed matrix.  The
+    stiffness, b and c use the space's rules, exact for A and c.  The
     duality pairing <delta, w> with the projected load is checked
     against the energy (they must agree within 1%).  Logs one INFO
     line: the order, the triangles, the unknowns kept and eliminated,
@@ -436,9 +437,9 @@ def neumann_dual_error(delta, fine_mesh, order):
     """
     space = FeSpace(fine_mesh, order)
     n = space.skeleton_ndof
-    A = _condensed_stiffness(space, degree=2 * (order - 1) + 2)
-    b = boundary_dual_load(space, delta, degree=2 * order + 4)[:n]
-    c = fem.boundary_integral_vector(space, degree=2 * order)[:n]
+    A = _condensed_stiffness(space)
+    b = boundary_dual_load(space, delta)[:n]
+    c = fem.boundary_integral_vector(space)[:n]
     b -= b.sum() / c.sum() * c
     perm = fem.dissection_order(space)
     perm = perm[perm < n]
@@ -460,12 +461,12 @@ def neumann_dual_error(delta, fine_mesh, order):
     return e1
 
 
-def boundary_dual_load(space, delta, degree=10):
+def boundary_dual_load(space, delta):
     """b_i = integral over the boundary of delta * phi_i on space's mesh.
 
-    Each facet is integrated with one facet rule, so the facets must
-    refine delta's pieces: raises ValueError when a breakpoint of delta
-    is not a facet start (within 1e-12 of the perimeter).
+    Each facet is integrated with the space's facet rule, so the facets
+    must refine delta's pieces: raises ValueError when a breakpoint of
+    delta is not a facet start (within 1e-12 of the perimeter).
     """
     mesh = space.mesh
     bp = np.mod(delta.breakpoints, mesh.perimeter)
@@ -475,7 +476,7 @@ def boundary_dual_load(space, delta, degree=10):
         raise ValueError("the facets of the mesh do not refine the pieces "
                          "of the boundary function (a breakpoint lies "
                          f"{gap.max():.3e} from every facet start)")
-    t, w = segment_rule(degree)
+    t, w = segment_rule(space.degree)
     vals, _, dofs = fem.facet_basis(space, t)
     s = mesh.bf_s0[:, None] + t * mesh.bf_len[:, None]
     dv = delta.eval_s(s.ravel()).reshape(s.shape)

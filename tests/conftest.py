@@ -135,6 +135,21 @@ def eval_cells(space, coeffs, tri_ids, ref_pts):
     return np.einsum("tj,qj->tq", coeffs[space.tri_dofs[tri_ids]], vals)
 
 
+def plain_load(space, f, degree):
+    """Load vector b_i = integral of f * phi_i by the degree rule, from
+    the reference basis at every quadrature point of every triangle,
+    independently of the block loop of fluxweight.fem."""
+    mesh = space.mesh
+    qp, qw = triangle_rule(degree)
+    _, _, det = mesh.jacobians()
+    pts = mesh.triangle_points(np.arange(mesh.num_triangles), qp)
+    fv = f(pts[..., 0], pts[..., 1])
+    be = np.einsum("tq,qj,q,t->tj", fv, space.element.eval(qp), qw, det)
+    b = np.zeros(space.ndof)
+    np.add.at(b, space.tri_dofs, be)
+    return b
+
+
 def assemble_grad_load(space, vec_field, degree=None):
     """Vector r_i = integral of vec_field . grad(phi_i), with
     vec_field(x, y) -> (..., 2).  Built from the physical basis
@@ -158,12 +173,16 @@ def assemble_grad_load(space, vec_field, degree=None):
 def coo_stiffness(space, a=None, degree=None, block=16384):
     """The stiffness matrix by the per-block COO path: int64 row and
     column lists per block of element matrices, concatenated and
-    converted to CSR once at the end."""
+    converted to CSR once at the end.  The reference tensor is its own,
+    at the points of the degree rule (the space's rule by default)."""
     mesh, nd = space.mesh, space.element.ndof
     if degree is None:
-        degree = 2 * space.order + 4
+        degree = space.degree
     qp, qw = triangle_rule(degree)
-    S, Sw = fem._stiffness_tensor(space.order, degree)
+    g = space.element.grad(qp)
+    S = np.einsum("qib,qjc->qbcij", g, g).reshape(len(qw), 4, nd * nd)
+    Sw = np.einsum("q,qkm->km", qw, S)
+    S = S.reshape(-1, nd * nd)
     rows, cols, vals = [], [], []
     for lo in range(0, mesh.num_triangles, block):
         blk = np.arange(lo, min(lo + block, mesh.num_triangles))
@@ -282,11 +301,11 @@ def minimum_degree_lu_nnz(A):
     return splu(A[perm][:, perm].tocsc(), permc_spec=spec, **opts).nnz
 
 
-def pinned_stiffness(space, degree):
+def pinned_stiffness(space):
     """The full stiffness matrix of space with the last unknown of its
     dissection order pinned as norms.neumann_dual_error pins it, and
     that order."""
-    A = fem.assemble_stiffness(space, degree=degree)
+    A = fem.assemble_stiffness(space)
     order = fem.dissection_order(space)
     norms._pin(A, np.zeros(space.ndof), order[-1])
     return A, order
@@ -298,11 +317,16 @@ def uncondensed_dual_error(delta, fine_mesh, order):
     by sparse.bmat, factored by SuperLU with its default ordering and
     pivoting.  The oracle for norms.neumann_dual_error, which condenses
     the interior unknowns out, projects the load and pins one unknown.
+    The stiffness and the constraint vector use the rules of degree
+    2 * order, which integrate both exactly, the load the space's.
     Returns (E1, dual load, constraint vector, space)."""
     space = fem.FeSpace(fine_mesh, order)
-    A = fem.assemble_stiffness(space, degree=2 * (order - 1) + 2)
-    b = norms.boundary_dual_load(space, delta, degree=2 * order + 4)
-    c = fem.boundary_integral_vector(space, degree=2 * order)
+    A = coo_stiffness(space, degree=2 * order)
+    b = norms.boundary_dual_load(space, delta)
+    t, w = segment_rule(2 * order)
+    vals, _, dofs = fem.facet_basis(space, t)
+    c = fem.facet_vector(space.ndof, dofs, vals,
+                         w * fine_mesh.bf_len[:, None])
     border = sparse.csr_matrix(c[None, :])
     K = sparse.bmat([[A, border.T], [border, None]], format="csc")
     x = splu(K).solve(np.append(b, 0.0))[:-1]

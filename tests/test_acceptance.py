@@ -285,7 +285,7 @@ def test_criterion_9_property_suites():
 
 
 def test_criterion_10_weight_demo_depth():
-    meshes = driver.weight_demo(k=2, c2=1.0, steps=7)
+    meshes = driver.weight_demo(AmrConfig(k=2, c2=1.0), 7)
     near, center = driver.refinement_depth_stats(meshes[-1])
     ok = near - center >= 2
     assert report(

@@ -1,7 +1,14 @@
 import json
+import os
+from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from fluxweight.cli import main
-from fluxweight.experiments import run_experiment
+from fluxweight.experiments import check_manifest, run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_manifest(**overrides):
@@ -119,3 +126,51 @@ def test_assertion_vocabulary(tmp_path):
     report, ok, _ = run_experiment(manifest, tmp_path / "out")
     assert ok
     assert len(report["assertions"]) == 5
+
+
+def test_demo_weights_refuses_a_theta_outside_the_unit_interval(tmp_path):
+    with pytest.raises(ValueError, match="marking fraction"):
+        main(["demo-weights", "--theta", "1.5", "--out", str(tmp_path / "w")])
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("path", sorted(
+    (ROOT / "manifests").glob("*.json")) + sorted(
+    (ROOT / "bench" / "workloads").glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_manifests_pass_the_check(path):
+    check_manifest(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("overrides, match", [
+    (dict(budjet=300), "unknown manifest key 'budjet'"),
+    (dict(studies=[{"name": "amr", "type": "amr", "level": 3}]),
+     "unknown key 'level' in study 'amr'"),
+    (dict(studies=[{"type": "amr"}, {"type": "uniform"}, {"type": "amr"}]),
+     "two studies named 'amr'"),
+])
+def test_malformed_manifest_is_refused_before_any_study(tmp_path, overrides,
+                                                        match):
+    with pytest.raises(ValueError, match=match):
+        run_experiment(small_manifest(**overrides), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_threads_name_their_log_records(tmp_path, monkeypatch, caplog):
+    # two CPUs give each of the two studies a thread named after it, so
+    # every solve line says which study it belongs to: each study logs
+    # as many solves under its name as it does alone
+    def solve_threads(manifest, out):
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            run_experiment(manifest, out)
+        return Counter(r.threadName for r in caplog.records
+                       if r.name == "fluxweight.fem")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    both = solve_threads(small_manifest(), tmp_path / "both")
+    manifest = small_manifest()
+    for study in manifest["studies"]:
+        alone = solve_threads(small_manifest(studies=[study], assertions=[]),
+                              tmp_path / study["name"])
+        assert both[study["name"]] == alone["MainThread"] > 0
+    assert sum(both.values()) == both["uni"] + both["amr"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fluxweight import driver, fem, methods, norms
 from fluxweight.driver import AmrConfig, mark
+from fluxweight.experiments import run_experiment
 from fluxweight.mesh import build_unit_square, uniform_refine
 from fluxweight.problems import problem_data
 
@@ -233,11 +234,28 @@ def test_graded_study_facet_scaling():
 
 
 def test_weight_demo_step_count_and_depth():
-    meshes = driver.weight_demo(k=2, c2=1.0, steps=3, initial_n=4)
+    meshes = driver.weight_demo(AmrConfig(k=2, c2=1.0, initial_n=4), 3)
     assert len(meshes) == 4
     assert meshes[-1].num_triangles > meshes[0].num_triangles
     nb, ct = driver.refinement_depth_stats(meshes[-1])
     assert nb >= ct
+
+
+def test_weight_demo_meshes_its_problem_domain_with_its_weight(tmp_path):
+    # an L-shape study meshes the L-shape, and its C1 caps the weight:
+    # at 0.01 every element carries the cap, so marking is uniform
+    meshes = driver.weight_demo(AmrConfig(problem="lshape-singular"), 0)
+    assert meshes[0].num_triangles == 96
+    assert meshes[0].jacobians()[2].sum() / 2 == pytest.approx(3.0,
+                                                              rel=1e-14)
+    manifest = {"problem": "lshape-singular", "k": 2, "studies": [
+        {"name": "c1-1", "type": "weight_demo", "C1": 1.0, "steps": 3},
+        {"name": "c1-small", "type": "weight_demo", "C1": 0.01, "steps": 3}]}
+    run_experiment(manifest, tmp_path)
+    first, capped = ((tmp_path / name / "summary.csv").read_text()
+                     for name in ("c1-1", "c1-small"))
+    assert first.splitlines()[1] == capped.splitlines()[1] == "0,96,0,0"
+    assert first != capped
 
 
 def test_record_csv_roundtrip(tmp_path):

@@ -14,7 +14,7 @@ from fluxweight.quadrature import segment_rule, triangle_rule
 
 from conftest import (coo_stiffness, distorted_square4, eval_cells,
                       facet_point_basis, interpolate, minimum_degree_lu_nnz,
-                      pinned_stiffness, uncondensed_dual_error)
+                      pinned_stiffness, plain_load, uncondensed_dual_error)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -73,7 +73,7 @@ def test_stiffness_variable_coefficient_single_element_oracle():
 
     A = fem.assemble_stiffness(sp, a)
     # oracle: re-assemble the element integral at the max supported degree
-    Ah = fem.assemble_stiffness(sp, a, degree=12)
+    Ah = coo_stiffness(sp, a, degree=12)
     d = abs(A - Ah)
     assert d.data.max(initial=0.0) <= 1e-10 * np.abs(Ah.data).max()
 
@@ -110,12 +110,14 @@ def test_stiffness_and_gradients_pointwise_oracle(order):
 
 
 def test_stiffness_memory_peak():
-    # P3 on 64x64, the size of an E1 reference: 37 249 DOFs, 8192 triangles
-    # at 16 quadrature points; the matrix itself holds about 7 MB
+    # P3 on 64x64, the size of an E1 reference: 37 249 DOFs, 8192
+    # triangles; with coefficient 1 each element matrix is one product
+    # with the tensor summed over the rule's 36 points; the matrix
+    # itself holds about 7 MB
     sp = fem.FeSpace(build_unit_square(64), 3)
     tracemalloc.start()
     try:
-        fem.assemble_stiffness(sp, degree=6)
+        fem.assemble_stiffness(sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -150,7 +152,7 @@ def test_load_franke_refined_quadrature_oracle():
     m = build_unit_square(32)
     sp = fem.FeSpace(m, 2)
     b = fem.assemble_load(sp, p.f)
-    oracle = fem.assemble_load(sp, p.f, degree=12)
+    oracle = plain_load(sp, p.f, degree=12)
     denom = np.abs(oracle).max()
     assert np.abs(b - oracle).max() <= 1e-8 * denom
 
@@ -352,7 +354,7 @@ def test_reference_solve_fill_bounded(reference, caplog):
         boundary_band(base)
     for order in (3, 4):
         sp = fem.FeSpace(m, order)
-        A, perm = pinned_stiffness(sp, degree=2 * order)
+        A, perm = pinned_stiffness(sp)
         b = np.random.default_rng(order).standard_normal(sp.ndof)
         with caplog.at_level("INFO", logger="fluxweight.fem"):
             caplog.clear()

@@ -260,8 +260,8 @@ def test_condensed_stiffness_is_schur_complement(order):
     # elementwise Schur complements assemble to the Schur complement of
     # the full matrix on the vertex and edge dofs
     sp = fem.FeSpace(distorted_square4(), order)
-    K = fem.assemble_stiffness(sp, degree=2 * order).toarray()
-    S = norms._condensed_stiffness(sp, degree=2 * order)
+    K = fem.assemble_stiffness(sp).toarray()
+    S = norms._condensed_stiffness(sp)
     n = sp.skeleton_ndof
     assert n == sp.mesh.num_vertices + (order - 1) * len(sp.mesh.edges)
     assert S.shape == (n, n)
@@ -304,7 +304,7 @@ def test_e1_factor_holds_no_interior_unknown(order, caplog):
     # no border, and fills less than the full system pinned alike
     delta, band = _band_flux_error("square")
     space = fem.FeSpace(band, order)
-    A, perm = pinned_stiffness(space, degree=2 * (order - 1) + 2)
+    A, perm = pinned_stiffness(space)
     with caplog.at_level("INFO"):
         caplog.clear()
         fem.solve(fem.SparseSystem(A, np.zeros(space.ndof), order=perm))
@@ -337,8 +337,8 @@ def test_boundary_dual_load_matches_pointwise_loop(square4):
     delta = flux_error_function(sol)
     fine = uniform_refine(square4, 2)
     sp = fem.FeSpace(fine, 3)
-    b = norms.boundary_dual_load(sp, delta, degree=10)
-    t, w = segment_rule(10)
+    b = norms.boundary_dual_load(sp, delta)
+    t, w = segment_rule(sp.degree)
     ref = np.zeros(sp.ndof)
     for f in range(fine.num_boundary_facets):
         P, Q = fine.vertices[fine.bf_v0[f]], fine.vertices[fine.bf_v1[f]]
