@@ -27,14 +27,19 @@ import numpy as np
 from . import estimator as est
 from . import elements, fem, methods, norms
 from .mesh import (boundary_band, boundary_graded, build_domain_mesh,
-                   build_graded_mesh, compute_distance_field, refine,
-                   uniform_refine)
+                   build_graded_mesh, compute_distance_field,
+                   distance_to_boundary, refine, uniform_refine)
 from .problems import problem_data
 
 log = logging.getLogger(__name__)
 
 # bisection sweeps of the boundary band of every E1 reference
 E1_BAND = 3
+
+# refinement_depth_stats: a centroid this near the boundary, or this
+# near the middle of the domain's corner loop
+NEAR_DISTANCE = 0.125
+CENTER_RADIUS = 0.2
 
 RECORD_COLUMNS = ("step", "N", "N_boundary", "eta", "eta_classical",
                   "E1", "E2", "E", "energy_err", "seconds")
@@ -137,17 +142,11 @@ def mark(indicators, theta=0.5):
 
 
 def count_dofs(mesh, config):
-    """Total unknowns of the configured method on a mesh (bulk plus
-    multiplier), from mesh combinatorics alone."""
-    k = config.k
-    n_int = (k - 1) * (k - 2) // 2
-    n = mesh.num_vertices + len(mesh.edges) * (k - 1) + mesh.num_triangles * n_int
+    """Total unknowns of the configured method on a mesh: the bulk space
+    plus, for the multiplier methods, the multiplier space."""
+    n = fem.FeSpace(mesh, config.k).ndof
     if config.method in (methods.LAGRANGE, methods.BARBOSA_HUGHES):
-        nbf = mesh.num_boundary_facets
-        if config.continuous:
-            n += nbf * config.kprime
-        else:
-            n += nbf * (config.kprime + 1)
+        n += fem.BoundarySpace(mesh, config.kprime, config.continuous).ndof
     return n
 
 
@@ -323,17 +322,16 @@ def weight_demo(config, steps):
     return out
 
 
-def refinement_depth_stats(mesh, near_distance=0.125, center_radius=0.2):
+def refinement_depth_stats(mesh):
     """Max refinement level of elements near the boundary (centroid
-    within near_distance) vs the domain center (centroid within
-    center_radius of the middle)."""
+    within NEAR_DISTANCE) vs the domain center (centroid within
+    CENTER_RADIUS of the middle)."""
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    from .mesh import distance_to_boundary
     d = distance_to_boundary(mesh.domain, cent)
-    near = mesh.level[d <= near_distance]
+    near = mesh.level[d <= NEAR_DISTANCE]
     poly_mid = mesh.polygon.mean(axis=0)
     ctr = mesh.level[np.hypot(cent[:, 0] - poly_mid[0],
-                              cent[:, 1] - poly_mid[1]) <= center_radius]
+                              cent[:, 1] - poly_mid[1]) <= CENTER_RADIUS]
     near_max = int(near.max()) if len(near) else 0
     ctr_max = int(ctr.max()) if len(ctr) else 0
     return near_max, ctr_max

@@ -36,6 +36,8 @@ _CONFIG_KEYS = {
     "initial_n": "initial_n",
 }
 _STUDY_KEYS = {"name", "type", "levels", "e1_levels", "h_list", "steps"}
+_ASSERTION_KINDS = {"rows", "rate_last", "ratio_band", "slope_max",
+                    "final_factor"}
 
 
 def config_from(manifest, overrides=None):
@@ -92,7 +94,8 @@ def _study_name(study):
 
 def check_manifest(manifest):
     """Raise ValueError at a key that neither the manifest nor a study
-    knows, or at two studies of one name."""
+    knows, at two studies of one name, or at an assertion of an unknown
+    kind or one that refers to no study of the manifest."""
     unknown = sorted(set(manifest) - set(_CONFIG_KEYS)
                      - {"studies", "assertions"})
     if unknown:
@@ -106,6 +109,13 @@ def check_manifest(manifest):
         if name in names:
             raise ValueError(f"two studies named {name!r}")
         names.add(name)
+    for spec in manifest.get("assertions", []):
+        if spec.get("check") not in _ASSERTION_KINDS:
+            raise ValueError(f"unknown assertion {spec.get('check')!r}")
+        for key in ("study", "study_a", "study_b"):
+            if key in spec and str(spec[key]).split(":")[0] not in names:
+                raise ValueError(f"assertion {spec['check']!r} names no "
+                                 f"study {spec[key]!r}")
 
 
 def run_study(study, manifest, out_dir, dumps):

@@ -12,7 +12,12 @@ first: the refinement edge of triangle (v0, v1, v2) is (v1, v2), the
 edge opposite v0.  `refine` performs newest-vertex bisection with
 recursive closure, which keeps every mesh conforming and shape regular
 (the structured initial meshes consist of right isosceles triangles
-whose bisection children are again right isosceles).
+whose bisection children are again right isosceles).  Bisection is one
+rule: (v0, v1, v2) splits at the midpoint m of its refinement edge into
+(m, v0, v1) and (m, v2, v0), whose refinement edges are the parent's
+other two edges.  The closure marks a triangle's refinement edge
+whenever any of its edges is marked, so applying the rule twice splits
+every marked edge of the parent mesh.
 
 The boundary facets are ordered counterclockwise from the anchor and
 their arc intervals tile [0, |boundary|).  Meshes are immutable after
@@ -284,8 +289,16 @@ def refine(mesh, marked):
     """Newest-vertex bisection of the marked triangles, with closure.
 
     Every marked triangle is bisected at least once; hanging nodes are
-    removed by recursively bisecting neighbors across their refinement
-    edges.  Children record the index of their pre-refinement ancestor.
+    removed by marking the refinement edge of every triangle with a
+    marked edge, until no triangle has a marked edge but an unmarked
+    refinement edge.  Then the rule splits each triangle whose
+    refinement edge is marked into (m, v0, v1) and (m, v2, v0), in two
+    rounds: the children's refinement edges are the parent's (v0, v1)
+    and (v2, v0), the only edges left to split, and their other edges
+    are new, so no grandchild is split again.  A triangle's children
+    follow each other in that order, one level deeper, and record the
+    index of their pre-refinement ancestor; the midpoints are numbered
+    after the old vertices, in edge order.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
@@ -309,58 +322,30 @@ def refine(mesh, marked):
                        + mesh.vertices[mesh.edges[medges, 1]])
     new_verts = np.vstack([mesh.vertices, midpoints])
 
-    e0 = edge_marked[te[:, 0]]
-    e1 = edge_marked[te[:, 1]]
-    e2 = edge_marked[te[:, 2]]
-    nchild = np.where(~e0, 1, 2 + e1.astype(int) + e2.astype(int))
-    offs = np.concatenate([[0], np.cumsum(nchild)])
-    total = offs[-1]
-    out = np.empty((total, 3), dtype=np.int64)
-    lev = np.empty(total, dtype=np.int32)
-    par = np.empty(total, dtype=np.int64)
+    # rows: vertices (peak first), edge ids (refinement edge first) in
+    # the parent's numbering, with the unmarked sentinel NEW for edges
+    # that a split creates
+    NEW = len(mesh.edges)
+    edge_marked = np.append(edge_marked, False)
+    tri, edges = mesh.triangles, te
+    lev, par = mesh.level, np.arange(mesh.num_triangles)
+    for _ in range(2):
+        split = edge_marked[edges[:, 0]]
+        v0, v1, v2 = tri[split].T
+        e0, e1, e2 = edges[split].T
+        m = mid_id[e0]
+        # a split row gives its two children, side by side
+        n = 1 + split
+        first = (np.cumsum(n) - n)[split]
+        tri, edges = np.repeat(tri, n, axis=0), np.repeat(edges, n, axis=0)
+        tri[first] = np.column_stack([m, v0, v1])
+        tri[first + 1] = np.column_stack([m, v2, v0])
+        edges[first] = edges[first + 1] = NEW
+        edges[first, 0] = e2
+        edges[first + 1, 0] = e1
+        lev, par = np.repeat(lev + split, n), np.repeat(par, n)
 
-    tri = mesh.triangles
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    m0 = mid_id[te[:, 0]]
-    m1 = mid_id[te[:, 1]]
-    m2 = mid_id[te[:, 2]]
-    L = mesh.level
-    ids = np.arange(mesh.num_triangles)
-
-    def emit(mask, slot, cols, dlev):
-        rows = offs[ids[mask]] + slot
-        out[rows] = np.column_stack(cols)
-        lev[rows] = L[mask] + dlev
-        par[rows] = ids[mask]
-
-    k = ~e0
-    emit(k, 0, (v0[k], v1[k], v2[k]), 0)
-
-    # bisect the refinement edge only
-    k = e0 & ~e1 & ~e2
-    emit(k, 0, (m0[k], v0[k], v1[k]), 1)
-    emit(k, 1, (m0[k], v2[k], v0[k]), 1)
-
-    # refinement edge + edge (v0, v1): first child bisected again
-    k = e0 & ~e1 & e2
-    emit(k, 0, (m2[k], m0[k], v0[k]), 2)
-    emit(k, 1, (m2[k], v1[k], m0[k]), 2)
-    emit(k, 2, (m0[k], v2[k], v0[k]), 1)
-
-    # refinement edge + edge (v2, v0): second child bisected again
-    k = e0 & e1 & ~e2
-    emit(k, 0, (m0[k], v0[k], v1[k]), 1)
-    emit(k, 1, (m1[k], m0[k], v2[k]), 2)
-    emit(k, 2, (m1[k], v0[k], m0[k]), 2)
-
-    # all three edges
-    k = e0 & e1 & e2
-    emit(k, 0, (m2[k], m0[k], v0[k]), 2)
-    emit(k, 1, (m2[k], v1[k], m0[k]), 2)
-    emit(k, 2, (m1[k], m0[k], v2[k]), 2)
-    emit(k, 3, (m1[k], v0[k], m0[k]), 2)
-
-    return Mesh(new_verts, out, mesh.domain, level=lev, parent=par)
+    return Mesh(new_verts, tri, mesh.domain, level=lev, parent=par)
 
 
 def uniform_refine(mesh, sweeps=1):

@@ -104,13 +104,7 @@ def triangle_rule(degree):
     xi = (xj + 1.0) / 2.0
     wxi = wj / 4.0
     eta, weta = segment_rule(degree)
-    pts = np.empty((n * len(eta), 2))
-    wts = np.empty(n * len(eta))
-    idx = 0
-    for i in range(n):
-        for j in range(len(eta)):
-            pts[idx, 0] = xi[i]
-            pts[idx, 1] = eta[j] * (1.0 - xi[i])
-            wts[idx] = wxi[i] * weta[j]
-            idx += 1
-    return pts, wts
+    # point (i, j) at row i * len(eta) + j
+    pts = np.column_stack([np.repeat(xi, len(eta)),
+                           np.outer(1.0 - xi, eta).ravel()])
+    return pts, np.outer(wxi, weta).ravel()

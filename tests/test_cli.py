@@ -147,6 +147,10 @@ def test_shipped_manifests_pass_the_check(path):
      "unknown key 'level' in study 'amr'"),
     (dict(studies=[{"type": "amr"}, {"type": "uniform"}, {"type": "amr"}]),
      "two studies named 'amr'"),
+    (dict(assertions=[{"check": "rows", "study": "amrr", "count": 2}]),
+     "assertion 'rows' names no study 'amrr'"),
+    (dict(assertions=[{"check": "rows_max", "study": "amr", "count": 2}]),
+     "unknown assertion 'rows_max'"),
 ])
 def test_malformed_manifest_is_refused_before_any_study(tmp_path, overrides,
                                                         match):

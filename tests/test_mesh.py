@@ -135,6 +135,42 @@ def test_refine_single_interior_conforming(square8):
     assert (np.abs(r.signed_area.sum() - 1.0) < 1e-12)
 
 
+# T = (v0, v1, v2) = (4, 5, 1) of refine(refine(build_unit_square(2),
+# [0]), [8]): its refinement edge (5, 1) is shared with triangle 5, and
+# its edges (v2, v0) and (v0, v1) are the refinement edges of triangles
+# 3 and 10, so marking those forces the closure to split them.  The
+# midpoints m0 of (v1, v2), m1 of (v2, v0) and m2 of (v0, v1) are
+# numbered from 11 in edge order.
+@pytest.mark.parametrize("marks, midpoints, rows, levels", [
+    # refinement edge only: (m0, v0, v1), (m0, v2, v0)
+    ([4], [[0.25, 0.75]], [[11, 4, 5], [11, 1, 4]], [1, 1]),
+    # plus (v0, v1): the first child split at m2
+    ([10], [[0.25, 0.75], [0.5, 0.75]],
+     [[12, 11, 4], [12, 5, 11], [11, 1, 4]], [2, 2, 1]),
+    # plus (v2, v0): the second child split at m1
+    ([3], [[0.25, 0.5], [0.25, 0.75]],
+     [[12, 4, 5], [11, 12, 1], [11, 4, 12]], [1, 2, 2]),
+    # all three edges
+    ([3, 10], [[0.25, 0.5], [0.25, 0.75], [0.5, 0.75]],
+     [[13, 12, 4], [13, 5, 12], [11, 12, 1], [11, 4, 12]], [2, 2, 2, 2]),
+], ids=["refinement-edge", "plus-v0v1", "plus-v2v0", "all-three"])
+def test_refine_child_rows_of_each_edge_pattern(marks, midpoints, rows,
+                                                levels):
+    m = refine(refine(build_unit_square(2), [0]), [8])
+    te = m.tri_edges
+    assert m.triangles[4].tolist() == [4, 5, 1] and m.level[4] == 0
+    assert (te[5, 0], te[3, 0], te[10, 0]) == tuple(te[4])
+    r = refine(m, marks)
+    check_mesh(r)
+    assert r.vertices[11:].tolist() == midpoints
+    kids = np.nonzero(r.parent == 4)[0]
+    # children of one triangle are consecutive, after those of 0..3
+    assert kids.tolist() == list(range(kids[0], kids[0] + len(rows)))
+    assert kids[0] == np.count_nonzero(r.parent < 4)
+    assert r.triangles[kids].tolist() == rows
+    assert r.level[kids].tolist() == levels
+
+
 def test_bisection_monotone(square4):
     r = refine(square4, np.arange(square4.num_triangles))
     for child in range(r.num_triangles):
