@@ -14,7 +14,14 @@ a dn(u_h) on a facet rule are Horner evaluations of the trace rows
 (fem.monomial_values), and the discrete flux of every method comes
 from BoundaryFlux.values.  The boundary residuals and
 the vertex-patch terms share one pass over the facet rule, which
-evaluates g and its tangential derivative once.
+evaluates g and its tangential derivative once, from one evaluation of
+the exact solution when there is one (ProblemSpec.facet_data).
+
+The volume residual makes one pass over the space's triangle rule with
+one grad u_h per block; it reads f from the solve's load pass and, when
+the exact solution is known, also sums the energy error |u - u_h|_1,
+with grad u from that pass too, which the driver records.  The values
+of that pass end there: compute_residuals drops them from the solution.
 """
 
 from dataclasses import dataclass
@@ -67,6 +74,9 @@ class Residuals:
     r2F: np.ndarray          # h^1/2 |g - u_h|_1,F
     r3F: np.ndarray          # h^-1/2 ||u_h - g||_F
     patch_sq: np.ndarray     # (nbf, 2): r(F,P)^2 for the left/right vertex of F
+    # |u - u_h|_1 when the exact solution is known (else nan), from the
+    # volume residual's pass
+    energy_err: float = np.nan
 
 
 @dataclass
@@ -86,37 +96,55 @@ def compute_residuals(solution):
     """Evaluate all local residuals of `solution` on its mesh.
 
     The volume term expands div(a grad u_h) = a lap(u_h) + grad(a).grad(u_h)
-    elementwise; boundary seminorms differentiate along the facet.
+    elementwise; boundary seminorms differentiate along the facet.  The
+    volume pass reads f and grad u where the solve kept them
+    (DiscreteSolution.f_values, grad_u_values) and then drops them.
     """
     mesh = solution.mesh
-    r1T = _volume_residual(solution)
+    r1T, energy_err = _volume_residual(solution, solution.f_values,
+                                       solution.grad_u_values)
+    solution.f_values = solution.grad_u_values = None
     r0F = _flux_jumps(solution)
     r1F, r2F, r3F, patch_sq = _boundary_residuals(solution)
-    return Residuals(r1T, mesh.interior_edges, r0F, r1F, r2F, r3F, patch_sq)
+    return Residuals(r1T, mesh.interior_edges, r0F, r1F, r2F, r3F, patch_sq,
+                     energy_err)
 
 
-def _volume_residual(solution):
+def _volume_residual(solution, fv, guv):
+    """r1T per triangle and, when the exact solution is known, the
+    energy error |u - u_h|_1 (else nan), from one pass over the space's
+    triangle rule with one grad u_h per block.  f and grad u come from
+    fv and guv, the solve's load pass (DiscreteSolution.f_values,
+    grad_u_values), where they are not None."""
     space, problem = solution.space, solution.problem
     mesh = space.mesh
     qp, qw = triangle_rule(space.degree)
-    href = space.element.hess(qp)          # (nq, nd, 3)
+    _, gref, href = fem.triangle_tables(space.order, space.degree)
+    invJT_all, det_all = mesh.jacobians()
     out = np.empty(mesh.num_triangles)
+    energy = 0.0
     for blk in fem._blocks(mesh.num_triangles):
-        _, invJT, det = mesh.jacobians(blk)
+        invJT, det = invJT_all[blk], det_all[blk]
         Minv = invJT.transpose(0, 2, 1) @ invJT
         co = solution.coeffs[space.tri_dofs[blk]]
         hu = fem.contract(co, href)          # reference (xx, xy, yy)
         lap_u = (Minv[:, None, 0, 0] * hu[..., 0]
                  + 2.0 * Minv[:, None, 0, 1] * hu[..., 1]
                  + Minv[:, None, 1, 1] * hu[..., 2])
-        grad_u = space.grad_cells(solution.coeffs, blk, qp)
+        grad_u = fem.physical_gradients(co, gref, invJT)
         pts = mesh.triangle_points(blk, qp)
         x, y = pts[..., 0], pts[..., 1]
+        f = problem.f(x, y) if fv is None else fv[blk]
         ga = problem.grad_a(x, y)
-        res = (problem.f(x, y) + problem.a(x, y) * lap_u
+        res = (f + problem.a(x, y) * lap_u
                + ga[..., 0] * grad_u[..., 0] + ga[..., 1] * grad_u[..., 1])
         out[blk] = np.sqrt((res * res) @ qw * det)
-    return mesh.h_T * out
+        if problem.has_exact:
+            gu = problem.grad_u(x, y) if guv is None else guv[blk]
+            diff = gu - grad_u
+            energy += ((diff * diff).sum(axis=-1) @ qw) @ det
+    energy_err = float(np.sqrt(energy)) if problem.has_exact else np.nan
+    return mesh.h_T * out, energy_err
 
 
 def _flux_jumps(solution):
@@ -124,7 +152,9 @@ def _flux_jumps(solution):
 
     The quadrature points of an edge sit at fixed places on a reference
     edge of each neighbor, run in one of two directions, so the basis
-    gradients are tabulated once per (local edge, direction).
+    gradients are tabulated once per (local edge, direction), and each
+    side's coefficients meet all six tables in one matrix product per
+    block of edges, of which every edge keeps its own.
     """
     space, problem = solution.space, solution.problem
     mesh = space.mesh
@@ -138,24 +168,25 @@ def _flux_jumps(solution):
     pts = P[:, None, :] + t[None, :, None] * (Q - P)[:, None, :]
     L = mesh.edge_length[edges]
     nrm = np.stack([(Q - P)[:, 1], -(Q - P)[:, 0]], axis=-1) / L[:, None]
-    tables = {}
-    for forward in (True, False):
-        ref = fem.reference_edge_points(t if forward else 1.0 - t)
-        for le, table in enumerate(space.element.grad(ref)):
-            tables[le, forward] = table              # (nq, nd, 2)
+    # the gradient tables of the local edges run forward, then backward:
+    # rows (le + 3 * backward) * nq + q, (6 nq, nd, 2)
+    tables = np.concatenate([fem.edge_tables(space.order, tuple(s))[1]
+                             for s in (t, 1.0 - t)]).reshape(
+                                 6 * len(t), -1, 2)
     jump = np.zeros((len(edges), len(t)))
-    for side, sgn in ((0, 1.0), (1, -1.0)):
-        tri = mesh.edge_tris[edges, side]
-        le = mesh.edge_local[edges, side]
-        forward = mesh.triangles[tri, (le + 1) % 3] == ev[:, 0]
-        _, invJT, _ = mesh.jacobians(tri)
-        co = solution.coeffs[space.tri_dofs[tri]]
-        for (l, fw), table in tables.items():
-            sel = np.nonzero((le == l) & (forward == fw))[0]
-            if len(sel):
-                gu = (fem.contract(co[sel], table)
-                      @ invJT[sel].transpose(0, 2, 1))
-                jump[sel] += sgn * np.einsum("mqa,ma->mq", gu, nrm[sel])
+    for blk in fem._blocks(len(edges)):
+        e = edges[blk]
+        for side, sgn in ((0, 1.0), (1, -1.0)):
+            tri = mesh.edge_tris[e, side]
+            le = mesh.edge_local[e, side]
+            backward = mesh.triangles[tri, (le + 1) % 3] != ev[blk, 0]
+            invJT, _ = mesh.jacobians(tri)
+            co = solution.coeffs[space.tri_dofs[tri]]
+            ref = fem.contract(co, tables).reshape(len(e), 6, len(t), 2)[
+                np.arange(len(e)), le + 3 * backward]
+            gu = fem.map_gradients(ref, invJT)
+            jump[blk] += sgn * (gu[..., 0] * nrm[blk, None, 0]
+                                + gu[..., 1] * nrm[blk, None, 1])
     val = problem.a(pts[..., 0], pts[..., 1]) * jump
     norm_sq = np.einsum("nq,nq,q->n", val, val, w) * L
     return np.sqrt(L) * np.sqrt(norm_sq)
@@ -178,8 +209,8 @@ def _boundary_residuals(solution):
     u, dn = solution.trace
 
     x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
-    av, gv = problem.a(x, y), problem.g(x, y)
-    dgt = problem.g_tangential(mesh, t)
+    av = problem.a(x, y)
+    gv, dgt = problem.facet_data(mesh, t)
     uv = fem.monomial_values(u[:, None], t)
     diff = uv - gv
     # ||v||_F^2 = L * sum_q w_q v_q^2: h^-1/2 ||.||_F drops the facet

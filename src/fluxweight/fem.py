@@ -11,9 +11,10 @@ int32 indices, of its local matrices (assemble_matrix): per triangle,
 and per boundary facet for the methods' boundary terms.  The P4
 reference stiffness on 10 928 triangles takes 0.052 s (one core of a
 2-core x86-64 machine) and a 66 MB traced peak, against 0.135 s and
-134 MB for per-block int64 COO lists.  The load pass also sums |f| by
-its rule (assemble_load_sums).  The solver contract is a direct sparse
-factorization with a verified residual.
+134 MB for per-block int64 COO lists.  The load pass sums f and |f|
+from their values at its rule (rule_values, assemble_load_sums), which
+the estimator's volume residual reads again.  The solver contract is a
+direct sparse factorization with a verified residual.
 
 Every system is factored in one elimination order, a nested dissection
 of its own mesh (dissection_order): the tree of the Morton codes of the
@@ -23,7 +24,11 @@ triangles.  SuperLU keeps that order and gets large dense supernodes;
 see solve for the fill and the factor times against reverse
 Cuthill-McKee with minimum degree.
 
-Every rule on a space is the space's own (FeSpace.degree).
+Every rule on a space is the space's own (FeSpace.degree).  The
+reference basis is tabulated once per (order, rule) (triangle_tables,
+edge_tables), as read-only arrays that study threads share, and every
+kernel reads the mesh's affine geometry, which it builds once
+(Mesh.jacobians).
 Bulk kernels do their per-point work on the reference element and map to
 physical coordinates once per triangle.  The stiffness matrix uses the
 reference tensor S[q, b, c, i, j] = d_b phi_i d_c phi_j at the quadrature
@@ -109,14 +114,33 @@ class FeSpace:
         onb[nv + (mesh.bf_edge[:, None] * (p - 1) + np.arange(p - 1))] = True
         self.boundary_dofs = np.nonzero(onb)[0]
 
-    # -- evaluation ------------------------------------------------------------
 
-    def grad_cells(self, coeffs, tri_ids, ref_pts):
-        """Physical gradients, shape (len(tri_ids), len(ref_pts), 2)."""
-        co = coeffs[self.tri_dofs[tri_ids]]
-        _, invJT, _ = self.mesh.jacobians(tri_ids)
-        ref_grad = contract(co, self.element.grad(ref_pts))
-        return ref_grad @ invJT.transpose(0, 2, 1)
+def _frozen(*tables):
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def triangle_tables(order, degree):
+    """The reference basis of `order` at the points of
+    triangle_rule(degree): values (nq, nd), gradients (nq, nd, 2) and
+    second derivatives (nq, nd, 3), ordered (xx, xy, yy).  Tabulated
+    once per (order, rule), read-only: study threads share them."""
+    qp, _ = triangle_rule(degree)
+    el = reference_element(order)
+    return _frozen(el.eval(qp), el.grad(qp), el.hess(qp))
+
+
+@lru_cache(maxsize=None)
+def edge_tables(order, t):
+    """The reference basis of `order` at the parameters t (a tuple) on
+    each local edge (reference_edge_points): values (3, len(t), nd) and
+    gradients (3, len(t), nd, 2).  Tabulated once per (order, rule),
+    read-only."""
+    ref = reference_edge_points(np.array(t))
+    el = reference_element(order)
+    return _frozen(el.eval(ref), el.grad(ref))
 
 
 def contract(co, table):
@@ -125,6 +149,21 @@ def contract(co, table):
     nq, nd, c = table.shape
     flat = table.transpose(1, 0, 2).reshape(nd, nq * c)
     return (co @ flat).reshape(len(co), nq, c)
+
+
+def physical_gradients(co, table, invJT):
+    """Gradients (t, nq, 2) of the discrete functions with coefficients
+    co (t, nd) on their triangles: contracted with the reference
+    gradients (nq, nd, 2) first, then mapped by J^-T (t, 2, 2)."""
+    return map_gradients(contract(co, table), invJT)
+
+
+def map_gradients(ref, invJT):
+    """Reference gradients (t, nq, 2) mapped by J^-T (t, 2, 2), entry by
+    entry: the same sums as ref @ J^-T, without a matrix product per
+    triangle."""
+    return (ref[..., :1] * invJT[:, None, :, 0]
+            + ref[..., 1:] * invJT[:, None, :, 1])
 
 
 def reference_edge_points(t):
@@ -143,16 +182,16 @@ def facet_basis(space, t, gradients=False):
 
     Returns (values (facets, len(t), nd), physical gradients
     (facets, len(t), nd, 2) or None, dofs (facets, nd)).  The reference
-    basis is tabulated once per local edge, and each facet selects the
-    table of its local edge.
+    basis is tabulated once per local edge (edge_tables), and each
+    facet selects the table of its local edge.
     """
     mesh = space.mesh
-    ref = reference_edge_points(t)
-    vals = space.element.eval(ref)[mesh.bf_local]
+    vref, gref = edge_tables(space.order, tuple(np.asarray(t, dtype=float)))
+    vals = vref[mesh.bf_local]
     grads = None
     if gradients:
-        g = space.element.grad(ref)[mesh.bf_local]
-        _, invJT, _ = mesh.jacobians(mesh.bf_tri)
+        g = gref[mesh.bf_local]
+        invJT, _ = mesh.jacobians(mesh.bf_tri)
         grads = np.einsum("fab,fqjb->fqja", invJT, g)
     return vals, grads, space.tri_dofs[mesh.bf_tri]
 
@@ -340,8 +379,9 @@ def _stiffness_tensor(order):
     """Reference tensor S[q, b, c, i, j] = d_b phi_i d_c phi_j at the
     points of its space's rule, as a (nq * 4, nd * nd) matrix, and its
     weighted sum over q, as a (4, nd * nd) matrix."""
-    qp, qw = triangle_rule(2 * order + 4)
-    g = reference_element(order).grad(qp)  # (nq, nd, 2)
+    degree = 2 * order + 4
+    qw = triangle_rule(degree)[1]
+    g = triangle_tables(order, degree)[1]  # (nq, nd, 2)
     nq, nd, _ = g.shape
     S = np.einsum("qib,qjc->qbcij", g, g).reshape(nq, 4, nd * nd)
     Sw = np.einsum("q,qkm->km", qw, S)
@@ -357,8 +397,9 @@ def element_stiffness(space, a=None):
     qp, qw = triangle_rule(space.degree)
     S, Sw = _stiffness_tensor(space.order)
     Ke = np.empty((mesh.num_triangles, nd * nd))
+    invJT_all, det_all = mesh.jacobians()
     for blk in _blocks(mesh.num_triangles):
-        _, invJT, det = mesh.jacobians(blk)
+        invJT, det = invJT_all[blk], det_all[blk]
         # det * J^-1 J^-T, flattened over (b, c)
         metric = (det[:, None, None] * (invJT.transpose(0, 2, 1) @ invJT)
                   ).reshape(-1, 4)
@@ -408,19 +449,39 @@ def assemble_stiffness(space, a=None):
                            [(td, td, element_stiffness(space, a))])
 
 
-def assemble_load_sums(space, f):
-    """Load vector b_i = integral of f * phi_i, and integral |f| by the
-    same rule: sum |f(x_q)| w_q det J.  The sum of b is integral f."""
-    mesh, el = space.mesh, space.element
-    qp, qw = triangle_rule(space.degree)
-    vref = el.eval(qp)  # (nq, nd)
-    be = np.empty((mesh.num_triangles, el.ndof))
+def rule_values(space, fn):
+    """fn(x, y) at the points of the space's triangle rule, block by
+    block: fn returns an array, or a tuple of arrays, of leading shape
+    (block, nq), and so does this, for every triangle, written block by
+    block into arrays allocated once."""
+    mesh = space.mesh
+    qp, _ = triangle_rule(space.degree)
+    out = None
+    for blk in _blocks(mesh.num_triangles):
+        vals = fn(*np.moveaxis(mesh.triangle_points(blk, qp), -1, 0))
+        single = not isinstance(vals, tuple)
+        if single:
+            vals = (vals,)
+        if out is None:
+            out = [np.empty((mesh.num_triangles,) + np.shape(v)[1:])
+                   for v in vals]
+        for o, v in zip(out, vals):
+            o[blk] = v
+    return out[0] if single else tuple(out)
+
+
+def assemble_load_sums(space, fv):
+    """Load vector b_i = integral of f * phi_i and integral |f| by the
+    same rule (sum |f(x_q)| w_q det J; the sum of b is integral f), from
+    the values fv of f at the rule's points (rule_values)."""
+    mesh = space.mesh
+    qw = triangle_rule(space.degree)[1]
+    vref = triangle_tables(space.order, space.degree)[0]  # (nq, nd)
+    _, det = mesh.jacobians()
+    be = np.empty((mesh.num_triangles, vref.shape[1]))
     abs_f = 0.0
     for blk in _blocks(mesh.num_triangles):
-        _, _, det = mesh.jacobians(blk)
-        pts = mesh.triangle_points(blk, qp)
-        fw = np.broadcast_to(f(pts[..., 0], pts[..., 1]),
-                             (len(det), len(qw))) * qw * det[:, None]
+        fw = fv[blk] * qw * det[blk, None]
         np.matmul(fw, vref, out=be[blk])
         abs_f += np.abs(fw).sum()
     b = np.bincount(space.tri_dofs.ravel(), weights=be.ravel(),
@@ -430,7 +491,7 @@ def assemble_load_sums(space, f):
 
 def assemble_load(space, f):
     """Load vector b_i = integral of f * phi_i."""
-    return assemble_load_sums(space, f)[0]
+    return assemble_load_sums(space, rule_values(space, f))[0]
 
 
 def boundary_integral_vector(space):
@@ -541,14 +602,18 @@ def solve(system):
 
 
 def h1_seminorm_error(space, coeffs, grad_exact):
-    """|grad(u - u_h)| over the mesh, with grad_exact(x, y) -> (..., 2)."""
+    """|grad(u - u_h)| over the mesh, with grad_exact(x, y) -> (..., 2).
+    A step gets it from the estimator's volume pass instead, which
+    shares grad u_h with the volume residual."""
     mesh = space.mesh
     qp, qw = triangle_rule(space.degree)
+    gref = triangle_tables(space.order, space.degree)[1]
+    invJT, det = mesh.jacobians()
     total = 0.0
     for blk in _blocks(mesh.num_triangles):
-        _, _, det = mesh.jacobians(blk)
         pts = mesh.triangle_points(blk, qp)
         diff = (grad_exact(pts[..., 0], pts[..., 1])
-                - space.grad_cells(coeffs, blk, qp))
-        total += ((diff * diff).sum(axis=-1) @ qw) @ det
+                - physical_gradients(coeffs[space.tri_dofs[blk]], gref,
+                                     invJT[blk]))
+        total += ((diff * diff).sum(axis=-1) @ qw) @ det[blk]
     return float(np.sqrt(total))

@@ -21,7 +21,9 @@ every marked edge of the parent mesh.
 
 The boundary facets are ordered counterclockwise from the anchor and
 their arc intervals tile [0, |boundary|).  Meshes are immutable after
-construction; refinement returns a new mesh.
+construction; refinement returns a new mesh.  So a mesh builds the
+affine geometry of its triangles (J^-T and det J) once, on first use,
+and every kernel reads it (Mesh.jacobians).
 """
 
 import numpy as np
@@ -103,6 +105,7 @@ class Mesh:
         self.parent = (np.arange(nt, dtype=np.int64) if parent is None
                        else np.asarray(parent, dtype=np.int64))
         self.polygon = domain_polygon(domain)
+        self._geometry = None  # (J^-T, det J), see jacobians
         self._build_topology()
         self._build_boundary_chart()
 
@@ -220,18 +223,31 @@ class Mesh:
             self.triangles[tri_ids]]
 
     def jacobians(self, tri_ids=None):
-        """Affine Jacobians (n, 2, 2), inverse transposes and determinants."""
-        tri = self.triangles if tri_ids is None else self.triangles[tri_ids]
-        p = self.vertices[tri]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invJT = np.empty_like(J)
-        invJT[:, 0, 0] = J[:, 1, 1]
-        invJT[:, 0, 1] = -J[:, 1, 0]
-        invJT[:, 1, 0] = -J[:, 0, 1]
-        invJT[:, 1, 1] = J[:, 0, 0]
-        invJT /= det[:, None, None]
-        return J, invJT, det
+        """Inverse transposes J^-T (n, 2, 2) of the Jacobians of the
+        affine maps from the reference triangle, and their determinants
+        (n,), read-only: the mesh builds them for every triangle once
+        (affine_geometry), on first use, and this selects rows."""
+        if self._geometry is None:
+            self._geometry = affine_geometry(self.vertices, self.triangles)
+        if tri_ids is None:
+            return self._geometry
+        return tuple(g[tri_ids] for g in self._geometry)
+
+
+def affine_geometry(vertices, triangles):
+    """J^-T (n, 2, 2) and det J (n,) of the affine maps of the reference
+    triangle onto the triangles, as read-only arrays."""
+    p = vertices[triangles]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    invJT = np.empty_like(J)
+    invJT[:, 0, 0] = J[:, 1, 1]
+    invJT[:, 0, 1] = -J[:, 1, 0]
+    invJT[:, 1, 0] = -J[:, 0, 1]
+    invJT[:, 1, 1] = J[:, 0, 0]
+    invJT /= det[:, None, None]
+    invJT.flags.writeable = det.flags.writeable = False
+    return invJT, det
 
 
 def _inside(polygon, pts):

@@ -51,23 +51,32 @@ class ProblemSpec:
     of u and the exact flux to a * grad(u) . n.  `solution` returns
     (u, grad_u) from one evaluation; u and grad_u default to its parts,
     and when g is u, boundary_values reads both from one call.
+    `f_and_grad_u`, when given, returns (f, grad_u) from one evaluation,
+    equal to those of f and grad_u: the solve's load pass reads both,
+    and f defaults to its first part.
     """
 
     name: str
     domain: str
     a: Callable
     grad_a: Callable
-    f: Callable
+    f: Optional[Callable] = None
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
     g: Optional[Callable] = None
     solution: Optional[Callable] = None
+    f_and_grad_u: Optional[Callable] = None
     # Gauss sums of the boundary data over dyadic cells, filled and read
     # by norms.sample_to_dyadic; it lives as long as this instance
     dyadic_cache: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
 
     def __post_init__(self):
+        if self.f is None:
+            source = self.f_and_grad_u
+            if source is None:
+                raise ValueError("either f or f_and_grad_u must be given")
+            self.f = lambda x, y: source(x, y)[0]
         both = self.solution
         if both is not None:
             if self.u is None:
@@ -97,15 +106,23 @@ class ProblemSpec:
         u, gu = self.solution(x, y)
         return _normal_flux(self.a(x, y), gu, nx, ny), u
 
+    def facet_data(self, mesh, t):
+        """g and its tangential derivative at the parameters t on every
+        boundary facet, shape (facets, len(t)) each: from one call of
+        `solution` when g is u, else from g and g_tangential."""
+        x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
+        if self.solution is None or self.g is not self.u:
+            return self.g(x, y), self.g_tangential(mesh, t)
+        u, gu = self.solution(x, y)
+        return u, _tangential(gu, mesh)
+
     def g_tangential(self, mesh, t):
         """Tangential derivative of g at the parameters t on every
         boundary facet, shape (facets, len(t)); analytic when grad_u is
         available, otherwise central differences in arc length."""
         if self.grad_u is not None:
             pts = mesh.facet_points(t)
-            gu = self.grad_u(pts[..., 0], pts[..., 1])
-            tang = mesh.bf_tangent[:, None, :]
-            return gu[..., 0] * tang[..., 0] + gu[..., 1] * tang[..., 1]
+            return _tangential(self.grad_u(pts[..., 0], pts[..., 1]), mesh)
         h = 1e-6
         t1, t0 = np.clip(t + h, 0.0, 1.0), np.clip(t - h, 0.0, 1.0)
         p1, p0 = mesh.facet_points(t1), mesh.facet_points(t0)
@@ -116,6 +133,12 @@ class ProblemSpec:
 
 def _normal_flux(a, gu, nx, ny):
     return a * (gu[..., 0] * nx + gu[..., 1] * ny)
+
+
+def _tangential(gu, mesh):
+    """Gradients (facets, nq, 2) at facet points, along each facet."""
+    tang = mesh.bf_tangent[:, None, :]
+    return gu[..., 0] * tang[..., 0] + gu[..., 1] * tang[..., 1]
 
 
 @dataclass
@@ -161,6 +184,12 @@ class DiscreteSolution:
     # (integral f is the sum of the load vector)
     f_integral: float = np.nan
     abs_f_integral: float = np.nan
+    # f and, when the exact solution is known, grad u at the points of
+    # the space's triangle rule, (triangles, nq, ...), from the solve's
+    # load pass, for the estimator's volume pass, which drops them once
+    # it has read them (estimator.compute_residuals)
+    f_values: Optional[np.ndarray] = field(default=None, repr=False)
+    grad_u_values: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def mesh(self):
@@ -220,20 +249,29 @@ class DiscreteSolution:
 def _prologue(problem, mesh, k):
     """What every solver starts from: the bulk space of order k, its
     element stiffness matrices, its load vector with the integrals of f
-    and |f| by the same rule, and the boundary data on the facet rule t,
-    each of shape (facets, len(t), ...): the bulk basis, a dn of it, g
-    and the weights w_q h_F, with the dofs of each facet
+    and |f| by the same rule, the values of f and, when the exact
+    solution is known, of grad u at that rule, from one evaluation of
+    f_and_grad_u where the problem has it (the keywords of
+    DiscreteSolution in `loads`), and the boundary data on the facet
+    rule t, each of shape (facets, len(t), ...): the bulk basis, a dn of
+    it, g and the weights w_q h_F, with the dofs of each facet
     (t, vals, adn, dofs, gv, lenw)."""
     space = FeSpace(mesh, k)
     Ke = fem.element_stiffness(space, problem.a)
-    F, abs_f = fem.assemble_load_sums(space, problem.f)
+    gu = None
+    if problem.has_exact and problem.f_and_grad_u is not None:
+        fv, gu = fem.rule_values(space, problem.f_and_grad_u)
+    else:
+        fv = fem.rule_values(space, problem.f)
+    F, abs_f = fem.assemble_load_sums(space, fv)
     t, w = segment_rule(space.degree)
     vals, grads, dofs = fem.facet_basis(space, t, gradients=True)
     x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
     adn = (problem.a(x, y)[..., None]
            * np.einsum("fqja,fa->fqj", grads, mesh.bf_normal))
     lenw = w * mesh.bf_len[:, None]
-    loads = dict(f_integral=float(F.sum()), abs_f_integral=abs_f)
+    loads = dict(f_integral=float(F.sum()), abs_f_integral=abs_f,
+                 f_values=fv, grad_u_values=gu)
     return space, Ke, F, loads, (t, vals, adn, dofs, problem.g(x, y), lenw)
 
 

@@ -27,6 +27,16 @@ one Horner pass, so that a step costs a handful of passes over the 2^M
 cells whatever the mesh.  Any other BoundaryFunction has every cell
 integrated whole by the same rule.  Then, for both, the cells that a
 breakpoint cuts are integrated again piece by piece (_cut_pieces).
+
+The analysis pyramid (WaveletPyramid.analyze), whose weighted norm is
+E2's, runs by lifting (_lift, after Sweldens 1996): each level is the
+Haar sums of the finer one plus four shifted Haar differences, computed
+in the level's own arrays.  On the 2^17 cells of the benchmark's E2 the
+norm takes 1.7-2.1 ms against 2.1-3.7 ms with the ten taps (best of
+7 x 20 calls, five runs on one core of a 2-core x86-64 machine).
+dwt_step keeps the ten taps in tap order as the reference the tests
+hold the lifting to: every coefficient within 4 eps max|v|, the norm
+within 1e-15 relative.
 """
 
 import logging
@@ -315,7 +325,9 @@ def dwt_step(v):
     low-pass taps sum to sqrt(2), so the coarse coefficients stay
     consistent with the 2^(j/2)-scaled cell-average convention of
     sample_to_dyadic (constants gain a factor sqrt(2) per level); the
-    details are orthonormal two-cell differences.
+    details are orthonormal two-cell differences.  This is the ten-tap
+    form, summed in tap order: the reference of the lifting (_lift)
+    that the pyramid and the norm use.
     """
     v = np.asarray(v, dtype=float)
     n = len(v)
@@ -334,6 +346,52 @@ def dwt_step(v):
     return vj, dj
 
 
+_C = math.sqrt(2.0) / 2.0
+
+
+def _levels(v):
+    """M of a vector of length 2^M; ValueError for any other length."""
+    n = len(v)
+    if n < 1 or (n & (n - 1)) != 0:
+        raise ValueError("input length must be a power of two")
+    return n.bit_length() - 1
+
+
+def _lift(v, coarse, s, d):
+    """dwt_step of v (length 2h) by lifting, in preallocated buffers:
+    the coarse coefficients go to coarse[:h] and the details to s[:h];
+    s and d need room for h + 4.
+
+    With the Haar sums s[k] = v[2k] + v[2k+1] and differences
+    d[k] = v[2k] - v[2k+1] (indices cyclic, so the first four follow the
+    h), the ten taps pair into
+    coarse[k] = c (s[k+2] + 3/128 (d[k] - d[k+4]) + 11/64 (d[k+3] - d[k+1]))
+    and the details are c d[k], c = sqrt(2)/2: eleven passes over h
+    entries in place of twenty-six.  Returns (coarse[:h], s[:h]).
+    """
+    h = len(v) // 2
+    even, odd = v[0::2], v[1::2]
+    np.add(even, odd, out=s[:h])
+    np.subtract(even, odd, out=d[:h])
+    if h >= 4:
+        s[h:h + 4] = s[:4]
+        d[h:h + 4] = d[:4]
+    else:
+        s[h:h + 4] = np.resize(s[:h], 4)
+        d[h:h + 4] = np.resize(d[:h], 4)
+    out = coarse[:h]
+    np.subtract(d[:h], d[4:h + 4], out=out)
+    out *= 3 / 128
+    out += s[2:h + 2]
+    tmp = s[:h]  # the sums are used up
+    np.subtract(d[3:h + 3], d[1:h + 1], out=tmp)
+    tmp *= 11 / 64
+    out += tmp
+    out *= _C
+    np.multiply(d[:h], _C, out=tmp)
+    return out, tmp
+
+
 @dataclass
 class WaveletPyramid:
     """Full analysis pyramid of a dyadic coefficient vector."""
@@ -344,15 +402,17 @@ class WaveletPyramid:
 
     @classmethod
     def analyze(cls, vM):
+        """The pyramid of vM by lifting (_lift), one level at a time;
+        the Haar differences of every level share one buffer."""
         vM = np.asarray(vM, dtype=float)
-        M = int(round(math.log2(len(vM))))
-        if (1 << M) != len(vM):
-            raise ValueError("input length must be a power of two")
+        M = _levels(vM)
         vs = [None] * (M + 1)
         ds = [None] * M
         vs[M] = vM
+        d = np.empty(len(vM) // 2 + 4)
         for j in range(M - 1, -1, -1):
-            vs[j], ds[j] = dwt_step(vs[j + 1])
+            h = 1 << j
+            vs[j], ds[j] = _lift(vs[j + 1], np.empty(h), np.empty(h + 4), d)
         return cls(M, vs, ds)
 
     def norm(self):
@@ -378,7 +438,20 @@ def wavelet_norm_of_vector(vM):
 
 
 def wavelet_norm(v, M=20):
-    """E2: dual-norm surrogate of the boundary function v at level M."""
+    """E2: dual-norm surrogate of the boundary function v at level M.
+
+    Logs one INFO line: M, the depth log2(|boundary|/h_min) of the
+    shortest boundary facet, and whether the mesh is finer than the
+    dyadic grid there (depth above M), where the cells do not resolve
+    the pieces of a flux error.
+    """
+    mesh = v.mesh
+    depth = math.log2(mesh.perimeter / mesh.bf_len.min())
+    log.info("E2: level M=%(M)d, shortest boundary facet at "
+             "log2(|boundary|/h_min) = %(depth).2f: %(verdict)s",
+             dict(M=M, depth=depth,
+                  verdict=("mesh finer than the grid" if depth > M
+                           else "grid at least as fine as the mesh")))
     return wavelet_norm_of_vector(sample_to_dyadic(v, M))
 
 

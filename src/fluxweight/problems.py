@@ -2,8 +2,10 @@
 
 Each entry carries hand-differentiated expressions for u, grad(u), the
 diffusion coefficient and its gradient, and the manufactured source
-f = -div(a grad u).  A finite-difference consistency test guards the
-algebra (verify_problem in tests/conftest.py).
+f = -div(a grad u), and f with grad(u) from one evaluation
+(f_and_grad_u), which the solve's load pass reads.  A finite-difference
+consistency test guards the algebra (verify_problem in
+tests/conftest.py).
 """
 
 import numpy as np
@@ -70,7 +72,8 @@ def _zeros2(x, y):
 
 
 def _franke():
-    # u sums only the values; solution the values and the gradient
+    # u sums only the values; solution the values and the gradient;
+    # f_and_grad_u the source and the gradient
     def u(x, y):
         val = np.zeros_like(np.asarray(x, dtype=float))
         for e, _ in _franke_terms(x, y, derivatives=False):
@@ -87,14 +90,18 @@ def _franke():
             gy += e * py
         return val, np.stack([gx, gy], axis=-1)
 
-    def f(x, y):
+    def f_and_grad_u(x, y):
         lap = np.zeros_like(np.asarray(x, dtype=float))
+        gx = np.zeros_like(lap)
+        gy = np.zeros_like(lap)
         for e, (px, py, pxx, pyy) in _franke_terms(x, y):
             lap += e * (pxx + pyy + px * px + py * py)
-        return -lap
+            gx += e * px
+            gy += e * py
+        return -lap, np.stack([gx, gy], axis=-1)
 
-    return ProblemSpec("franke", "unit-square", _ones, _zeros2, f,
-                       u=u, solution=solution)
+    return ProblemSpec("franke", "unit-square", _ones, _zeros2, u=u,
+                       solution=solution, f_and_grad_u=f_and_grad_u)
 
 
 def _varcoef_peak():
@@ -116,13 +123,14 @@ def _varcoef_peak():
         e, gx, gy, _ = _gauss_peak(x, y)
         return e, np.stack([gx, gy], axis=-1)
 
-    def f(x, y):
+    def f_and_grad_u(x, y):
         _, gx, gy, lap = _gauss_peak(x, y)
         ga = grad_a(x, y)
-        return -(a(x, y) * lap + ga[..., 0] * gx + ga[..., 1] * gy)
+        return (-(a(x, y) * lap + ga[..., 0] * gx + ga[..., 1] * gy),
+                np.stack([gx, gy], axis=-1))
 
-    return ProblemSpec("varcoef-peak", "unit-square", a, grad_a, f,
-                       solution=solution)
+    return ProblemSpec("varcoef-peak", "unit-square", a, grad_a,
+                       solution=solution, f_and_grad_u=f_and_grad_u)
 
 
 def _corner_angle(x, y):
@@ -154,8 +162,13 @@ def _lshape_singular():
         # the singular part is harmonic: only the peak contributes
         return -_gauss_peak(x, y)[3]
 
+    def f_and_grad_u(x, y):
+        _, sx, sy = _corner_singular(x, y)
+        _, gx, gy, lap = _gauss_peak(x, y)
+        return -lap, np.stack([sx + gx, sy + gy], axis=-1)
+
     return ProblemSpec("lshape-singular", "l-shape", _ones, _zeros2, f,
-                       solution=solution)
+                       solution=solution, f_and_grad_u=f_and_grad_u)
 
 
 _REGISTRY = {

@@ -141,7 +141,7 @@ def plain_load(space, f, degree):
     independently of the block loop of fluxweight.fem."""
     mesh = space.mesh
     qp, qw = triangle_rule(degree)
-    _, _, det = mesh.jacobians()
+    _, det = mesh.jacobians()
     pts = mesh.triangle_points(np.arange(mesh.num_triangles), qp)
     fv = f(pts[..., 0], pts[..., 1])
     be = np.einsum("tq,qj,q,t->tj", fv, space.element.eval(qp), qw, det)
@@ -161,7 +161,7 @@ def assemble_grad_load(space, vec_field, degree=None):
     qp, qw = triangle_rule(degree)
     gref = el.grad(qp)
     r = np.zeros(space.ndof)
-    _, invJT, det = mesh.jacobians()
+    invJT, det = mesh.jacobians()
     g = np.einsum("tab,qjb->tqja", invJT, gref)
     pts = mesh.triangle_points(np.arange(mesh.num_triangles), qp)
     fv = vec_field(pts[..., 0], pts[..., 1])
@@ -186,7 +186,7 @@ def coo_stiffness(space, a=None, degree=None, block=16384):
     rows, cols, vals = [], [], []
     for lo in range(0, mesh.num_triangles, block):
         blk = np.arange(lo, min(lo + block, mesh.num_triangles))
-        _, invJT, det = mesh.jacobians(blk)
+        invJT, det = mesh.jacobians(blk)
         metric = (det[:, None, None] * (invJT.transpose(0, 2, 1) @ invJT)
                   ).reshape(-1, 4)
         if a is None:
@@ -231,7 +231,7 @@ def facet_point_basis(space, facet_ids, t, gradients=False):
     vals = space.element.eval(pts)
     grads = None
     if gradients:
-        _, invJT, _ = mesh.jacobians(tri)
+        invJT, _ = mesh.jacobians(tri)
         grads = np.einsum("nab,njb->nja", invJT, space.element.grad(pts))
     return vals, grads, space.tri_dofs[tri]
 

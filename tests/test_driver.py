@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxweight import driver, fem, methods, norms
+from fluxweight import mesh as mesh_module
 from fluxweight.driver import AmrConfig, mark
 from fluxweight.experiments import run_experiment
 from fluxweight.mesh import build_unit_square, uniform_refine
 from fluxweight.problems import problem_data
+from fluxweight.quadrature import segment_rule, triangle_rule
 
 
 def test_mark_examples():
@@ -167,6 +169,83 @@ def test_e1_assembles_no_load(monkeypatch):
     assert calls == []
 
 
+def test_one_step_evaluates_its_data_once(monkeypatch):
+    # a Franke Nitsche k=1 step reads f and grad u on the triangle rule
+    # once, together (the solve's load pass, whose values the volume
+    # residual and the energy error reuse); on the facet rule it
+    # evaluates the exact solution once per use: g for the solve, and g
+    # with its tangential derivative for the estimator.  Each mesh
+    # builds its geometry once, the E1 reference's included.
+    problem = problem_data("franke")
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(x, y):
+            calls.append((name, np.shape(x)))
+            return fn(x, y)
+        return wrapped
+
+    for name in ("f", "u", "grad_u", "solution", "f_and_grad_u"):
+        setattr(problem, name, counting(name, getattr(problem, name)))
+    problem.g = problem.u
+    built = []
+    geometry = mesh_module.affine_geometry
+
+    def counting_geometry(vertices, triangles):
+        built.append(id(triangles))
+        return geometry(vertices, triangles)
+
+    monkeypatch.setattr(mesh_module, "affine_geometry", counting_geometry)
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1,
+                    wavelet_level=10)
+    mesh = build_unit_square(4)
+    mesh = mesh_module.refine(mesh, [0, 7, 19])
+    row, (_, sol, _, _) = driver.step(cfg, problem, mesh)
+    degree = sol.space.degree
+    on_triangles = (mesh.num_triangles, len(triangle_rule(degree)[1]))
+    on_facets = (mesh.num_boundary_facets, len(segment_rule(degree)[1]))
+    assert [n for n, shape in calls if shape == on_triangles] == [
+        "f_and_grad_u"]
+    assert [n for n, shape in calls if shape == on_facets] == [
+        "u", "solution"]
+    assert built == [id(mesh.triangles)]
+    # the step's rule values end with it
+    assert sol.f_values is None and sol.grad_u_values is None
+    assert row["energy_err"] == fem.h1_seminorm_error(
+        sol.space, sol.coeffs, problem.grad_u)
+    driver._e1_of(norms.flux_error_function(sol), cfg, mesh)
+    assert len(built) == 2 and len(set(built)) == 2
+
+
+def test_step_logs_its_phases(caplog):
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1,
+                    wavelet_level=10)
+    mesh = build_unit_square(4)
+    with caplog.at_level("INFO"):
+        row, _ = driver.step(cfg, problem_data("franke"), mesh, e1=True)
+    (line,) = [r for r in caplog.records if r.name == "fluxweight.driver"
+               and r.getMessage().startswith("step:")]
+    assert line.args["N"] == row["N"]
+    for phase in ("solve", "rho", "estimator", "e2"):
+        assert line.args[phase] >= 0.0
+    assert line.getMessage().endswith(" ms")
+    (e2,) = [r for r in caplog.records if r.name == "fluxweight.norms"
+             and r.getMessage().startswith("E2:")]
+    # 4x4: the shortest boundary facet is 1/4 of a side, |boundary|/16
+    assert e2.args["depth"] == 4.0 and e2.args["M"] == 10
+    assert "grid at least as fine" in e2.getMessage()
+
+
+def test_e2_flags_a_mesh_finer_than_its_grid(caplog):
+    mesh = uniform_refine(build_unit_square(4), 6)  # facets |boundary|/128
+    sol = methods.solve_nitsche(problem_data("franke"), mesh, k=1)
+    with caplog.at_level("INFO"):
+        norms.wavelet_norm(norms.flux_error_function(sol), 5)
+    (e2,) = [r for r in caplog.records if r.getMessage().startswith("E2:")]
+    assert e2.args["depth"] == 7.0
+    assert "mesh finer than the grid" in e2.getMessage()
+
+
 def test_amr_records_monotone_N():
     cfg = AmrConfig(problem="franke", method="nitsche", k=1, budget=400,
                     wavelet_level=10)
@@ -246,7 +325,7 @@ def test_weight_demo_meshes_its_problem_domain_with_its_weight(tmp_path):
     # at 0.01 every element carries the cap, so marking is uniform
     meshes = driver.weight_demo(AmrConfig(problem="lshape-singular"), 0)
     assert meshes[0].num_triangles == 96
-    assert meshes[0].jacobians()[2].sum() / 2 == pytest.approx(3.0,
+    assert meshes[0].jacobians()[1].sum() / 2 == pytest.approx(3.0,
                                                               rel=1e-14)
     manifest = {"problem": "lshape-singular", "k": 2, "studies": [
         {"name": "c1-1", "type": "weight_demo", "C1": 1.0, "steps": 3},

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from fluxweight import estimator as est
 from fluxweight import fem, methods
-from fluxweight.mesh import (build_unit_square, compute_distance_field,
-                             refine)
+from fluxweight.mesh import (build_domain_mesh, build_unit_square,
+                             compute_distance_field, refine)
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
@@ -417,3 +417,21 @@ def test_indicator_dump(tmp_path, square4):
     lines = path.read_text().splitlines()
     assert lines[0] == "element_id,h_T,rho_T,sigma_T,r1T,etaT"
     assert len(lines) == 1 + square4.num_triangles
+
+
+@pytest.mark.parametrize("name", ["franke", "lshape-singular"])
+def test_volume_pass_reads_the_solve_values_once(name):
+    # the solve keeps f and grad u at the triangle rule for the volume
+    # pass, which drops them; a second pass evaluates the callables and
+    # agrees with the first
+    problem = problem_data(name)
+    mesh = build_domain_mesh(problem.domain, 4)
+    sol = methods.solve_nitsche(problem, mesh, k=2)
+    assert sol.f_values is not None and sol.grad_u_values is not None
+    first = est.compute_residuals(sol)
+    assert sol.f_values is None and sol.grad_u_values is None
+    again = est.compute_residuals(sol)
+    assert np.allclose(again.r1T, first.r1T, rtol=1e-14, atol=0.0)
+    assert again.energy_err == pytest.approx(first.energy_err, rel=1e-14)
+    assert first.energy_err == fem.h1_seminorm_error(
+        sol.space, sol.coeffs, problem.grad_u)

@@ -84,6 +84,44 @@ def test_dwt_matches_modulo_index_form():
             dj, (math.sqrt(2.0) / 2.0) * (v[idx2] - v[idx2 + 1]))
 
 
+def test_lifting_matches_the_tap_order_step():
+    # every coefficient of the lifted step is within 4 eps max|v| of the
+    # ten taps summed in tap order, on every length from 2 to 2^12: the
+    # levels of fewer than five pairs wrap around more than once
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for j in range(1, 13):
+        h = 1 << (j - 1)
+        for _ in range(4):
+            v = rng.standard_normal(2 * h) * 10.0 ** rng.uniform(-3, 3)
+            want_v, want_d = dwt_step(v)
+            got_v, got_d = norms._lift(v, np.empty(h), np.empty(h + 4),
+                                       np.empty(h + 4))
+            bound = 4 * eps * np.abs(v).max()
+            assert np.abs(got_v - want_v).max() <= bound
+            assert np.abs(got_d - want_d).max() <= bound
+
+
+def _tap_order_norm(v):
+    M = int(math.log2(len(v)))
+    vs, ds = [None] * (M + 1), [None] * M
+    vs[M] = v
+    for j in range(M - 1, -1, -1):
+        vs[j], ds[j] = dwt_step(vs[j + 1])
+    return WaveletPyramid(M, vs, ds).norm()
+
+
+def test_wavelet_norm_matches_the_tap_order_pyramid(square4):
+    rng = np.random.default_rng(12)
+    vectors = [rng.standard_normal(1 << M) for M in (1, 2, 3, 5, 8, 12, 15)]
+    sol = methods.solve_nitsche(problem_data("franke"),
+                                uniform_refine(square4, 3), k=1)
+    vectors.append(sample_to_dyadic(flux_error_function(sol), 14))
+    for v in vectors:
+        ref = _tap_order_norm(v)
+        assert abs(wavelet_norm_of_vector(v) - ref) <= 1e-15 * ref
+
+
 def test_dwt_rejects_bad_length():
     with pytest.raises(ValueError):
         dwt_step([1.0, 2.0, 3.0])

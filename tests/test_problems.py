@@ -112,7 +112,8 @@ def _franke_four_parts(x, y):
 
 
 def test_franke_callables_equal_four_part_evaluation():
-    # u, grad_u and f each compute only what they return, bit for bit
+    # u, grad_u and f agree bit for bit with a plain loop over the four
+    # terms
     p = problem_data("franke")
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-0.2, 1.2, (2, 1000))
@@ -120,3 +121,16 @@ def test_franke_callables_equal_four_part_evaluation():
     assert np.array_equal(p.u(x, y), val)
     assert np.array_equal(p.grad_u(x, y), np.stack([gx, gy], axis=-1))
     assert np.array_equal(p.f(x, y), -lap)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_f_and_grad_u_in_one_evaluation(name):
+    # the solve's load pass reads both from one evaluation, bit for bit
+    # those of f and grad_u
+    p = problem_data(name)
+    rng = np.random.default_rng(12)
+    lo, hi = (-1.0, 1.0) if p.domain == "l-shape" else (0.0, 1.0)
+    x, y = rng.uniform(lo, hi, (2, 50, 7))
+    f, gu = p.f_and_grad_u(x, y)
+    assert np.array_equal(f, p.f(x, y))
+    assert np.array_equal(gu, p.grad_u(x, y))
