@@ -2,19 +2,19 @@
 
     fluxweight run <manifest.json> [--out DIR]
                    [--dump-mesh] [--dump-indicators] [--dump-pyramid]
-    fluxweight demo-weights [--k 2] [--c2 1.0] [--steps 7] [--out DIR]
     fluxweight list-problems
 
-`run` checks the manifest's keys and study names, then runs its studies
-on as many threads as it has studies, up to the CPUs available to the
-process; each thread is named after its study, and every log line
-carries the name of its thread.
+Every study setting comes from the manifest: the weight demo too is a
+manifest study (`fluxweight run manifests/weights.json --dump-mesh`).
+`run` checks the manifest's keys, study names and values, then runs its
+studies on as many threads as it has studies, up to the CPUs available
+to the process; each thread is named after its study, and every log
+line carries the name of its thread.
 """
 
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 
 def main(argv=None):
@@ -31,15 +31,6 @@ def main(argv=None):
     p_run.add_argument("--dump-indicators", action="store_true")
     p_run.add_argument("--dump-pyramid", action="store_true")
 
-    p_demo = sub.add_parser(
-        "demo-weights",
-        help="mark/refine on the dual weight alone (no solves)")
-    p_demo.add_argument("--k", type=int, default=2)
-    p_demo.add_argument("--c2", type=float, default=1.0)
-    p_demo.add_argument("--steps", type=int, default=7)
-    p_demo.add_argument("--theta", type=float, default=0.5)
-    p_demo.add_argument("--out", default="out-weights")
-
     sub.add_parser("list-problems", help="list registered problems")
 
     args = parser.parse_args(argv)
@@ -53,21 +44,6 @@ def main(argv=None):
         for name in problem_names():
             spec = problem_data(name)
             print(f"{name}: domain={spec.domain}")
-        return 0
-
-    if args.command == "demo-weights":
-        from .driver import AmrConfig, weight_demo
-        from .experiments import write_weight_summary
-        from .mesh import dump_mesh
-        config = AmrConfig(k=args.k, c2=args.c2, theta=args.theta)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        meshes = weight_demo(config, args.steps)
-        nb, ct = write_weight_summary(meshes, out / "summary.csv")
-        for i, msh in enumerate(meshes):
-            dump_mesh(msh, out / f"mesh_step{i}.txt")
-        print(f"steps={args.steps} elements={meshes[-1].num_triangles} "
-              f"depth near boundary={nb} depth at center={ct}")
         return 0
 
     if args.command == "run":

@@ -47,7 +47,9 @@ RECORD_COLUMNS = ("step", "N", "N_boundary", "eta", "eta_classical",
 
 @dataclass
 class AmrConfig:
-    """Method, estimator and marking parameters of a study."""
+    """Method, weight, estimator and marking parameters of a study, the
+    one source of each: the weight min{C1, C2 (h_T/rho_T)^k} reads c1,
+    c2 and k here (estimator.weight_element)."""
 
     problem: str = "franke"
     method: str = methods.NITSCHE
@@ -66,13 +68,15 @@ class AmrConfig:
     initial_n: int = 4
 
     def __post_init__(self):
+        if self.method not in (methods.LAGRANGE, methods.BARBOSA_HUGHES,
+                               methods.NITSCHE):
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.c1 <= 0 or self.c2 <= 0:
+            raise ValueError("weight constants must be positive")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("marking fraction must lie in (0, 1]")
         if self.estimator not in ("eta", "eta_classical"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-
-    def weight_config(self):
-        return est.WeightConfig(self.c1, self.c2, self.k)
 
 
 @dataclass
@@ -160,10 +164,8 @@ def _solve(config, problem, mesh):
             problem, mesh, k=config.k, kprime=config.kprime,
             continuous=config.continuous, alpha=config.alpha,
             sign=config.sign)
-    if config.method == methods.NITSCHE:
-        return methods.solve_nitsche(problem, mesh, k=config.k,
-                                     gamma=config.gamma, sign=config.sign)
-    raise ValueError(f"unknown method {config.method!r}")
+    return methods.solve_nitsche(problem, mesh, k=config.k,
+                                 gamma=config.gamma, sign=config.sign)
 
 
 def _true_error_scale(config):
@@ -220,7 +222,7 @@ def step(config, problem, mesh, e1=False):
     clock.append(time.perf_counter())
     rho = compute_distance_field(mesh)
     clock.append(time.perf_counter())
-    ind = est.build_indicators(solution, rho, config.weight_config())
+    ind = est.build_indicators(solution, rho, config)
     clock.append(time.perf_counter())
     delta = norms.flux_error_function(solution)
     e2 = norms.wavelet_norm(delta, config.wavelet_level)
@@ -319,17 +321,20 @@ def graded_study(config, h_list):
 
 def weight_demo(config, steps):
     """Mark-and-refine `steps` times on the dual weight of `config`
-    alone (no solve), from the initial mesh of its problem's domain.
+    alone (its c1, c2, k and theta; no solve), from the initial mesh of
+    its problem's domain at config.initial_n.
 
-    Returns the list of meshes after each step; demonstrates that the
-    weight alone concentrates refinement at the boundary.
+    Returns the initial mesh and the mesh after each step, steps + 1 in
+    all; demonstrates that the weight alone concentrates refinement at
+    the boundary.  `fluxweight run` reaches it through a `weight_demo`
+    manifest study (experiments.run_study).
     """
     mesh = build_domain_mesh(problem_data(config.problem).domain,
                              config.initial_n)
     out = [mesh]
     for _ in range(steps):
         sigma = est.weight_element(mesh.h_T, compute_distance_field(mesh),
-                                   config.weight_config())
+                                   config)
         mesh = refine(mesh, mark(sigma, config.theta))
         out.append(mesh)
     return out

@@ -6,7 +6,9 @@ distance rho_T of its vertex patch to the boundary, so bulk residuals
 are progressively discounted while boundary residuals keep full weight.
 The classical unweighted estimator is kept as a comparison baseline;
 both are one sum of volume, interior-facet and boundary loads, the
-classical one with unit weights.
+classical one with unit weights.  Each setting has one source: the
+weight's C1, C2 and k come from the study's driver.AmrConfig, and the
+method with its gamma or alpha from the DiscreteSolution judged.
 
 Every boundary term reads u_h from its per-facet monomial trace
 (DiscreteSolution.trace): u_h, its tangential derivative and
@@ -33,21 +35,10 @@ from .methods import BARBOSA_HUGHES, LAGRANGE, NITSCHE
 from .quadrature import segment_rule, triangle_rule
 
 
-@dataclass
-class WeightConfig:
-    """Constants of the element weight min{C1, C2 (h_T/rho_T)^k}."""
-
-    c1: float = 1.0
-    c2: float = 1.0
-    k: int = 1
-
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("weight constants must be positive")
-
-
 def weight_element(h_T, rho_T, config):
-    """Dual weight per element; the rho = 0 branch returns C1 exactly."""
+    """Dual weight min{C1, C2 (h_T/rho_T)^k} per element, with c1, c2
+    and k read from config (a driver.AmrConfig); the rho = 0 branch
+    returns C1 exactly."""
     h_T = np.asarray(h_T, dtype=float)
     rho_T = np.asarray(rho_T, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
@@ -269,45 +260,43 @@ def _eta_sum(r, sigma_T, mesh, bload):
     return eta_T, float(np.sqrt(eta_sq.sum())), sigma_F
 
 
-def assemble_eta(residuals, sigma_T, mesh, method, gamma=None, alpha=None):
+def assemble_eta(residuals, sigma_T, solution):
     """Distance-weighted estimator: per-element eta_T, global eta and
     the facet weights sigma_F.
 
     The boundary load is method specific: r1^2 + r2^2 for the
     multiplier method, (1+gamma^2) r3^2 plus patch terms for Nitsche,
     (1+alpha^2) r1^2 plus patch terms for the stabilized multiplier
-    method.  Patch terms are attributed half-and-half to the two facets
-    of each vertex patch.
+    method, with the method, gamma and alpha those of `solution`.
+    Patch terms are attributed half-and-half to the two facets of each
+    vertex patch.
     """
     r = residuals
+    mesh, method = solution.mesh, solution.method
     nbf = mesh.num_boundary_facets
     S_vertex = r.patch_sq[(np.arange(nbf) - 1) % nbf, 1] + r.patch_sq[:, 0]
     patch = 0.5 * (S_vertex + S_vertex[(np.arange(nbf) + 1) % nbf])
     if method == LAGRANGE:
         bload = r.r1F ** 2 + r.r2F ** 2
     elif method == NITSCHE:
-        if gamma is None:
-            raise ValueError("gamma required for the Nitsche estimator")
-        bload = (1.0 + gamma ** 2) * r.r3F ** 2 + patch
+        bload = (1.0 + solution.gamma ** 2) * r.r3F ** 2 + patch
     elif method == BARBOSA_HUGHES:
-        if alpha is None:
-            raise ValueError("alpha required for the stabilized estimator")
-        bload = (1.0 + alpha ** 2) * r.r1F ** 2 + patch
+        bload = (1.0 + solution.alpha ** 2) * r.r1F ** 2 + patch
     else:
         raise ValueError(f"unknown method {method!r}")
     return _eta_sum(r, sigma_T, mesh, bload)
 
 
-def assemble_eta_classical(residuals, mesh, method, gamma=None):
+def assemble_eta_classical(residuals, solution):
     """Unweighted residual estimator (energy-norm driven baseline): the
-    sum of assemble_eta with unit weights and its own boundary load."""
+    sum of assemble_eta with unit weights and its own boundary load,
+    with the method and gamma of `solution`."""
     r = residuals
+    mesh, method = solution.mesh, solution.method
     if method in (LAGRANGE, BARBOSA_HUGHES):
         bload = r.r1F ** 2 + r.r3F ** 2
     elif method == NITSCHE:
-        if gamma is None:
-            raise ValueError("gamma required for the Nitsche estimator")
-        bload = gamma ** 2 * r.r3F ** 2
+        bload = solution.gamma ** 2 * r.r3F ** 2
     else:
         raise ValueError(f"unknown method {method!r}")
     eta_T, eta, _ = _eta_sum(r, np.ones(mesh.num_triangles), mesh, bload)
@@ -316,15 +305,12 @@ def assemble_eta_classical(residuals, mesh, method, gamma=None):
 
 def build_indicators(solution, rho, config):
     """Residuals, weights and both estimators in one pass; rho holds the
-    patch distances rho_T of compute_distance_field."""
-    mesh = solution.mesh
+    patch distances rho_T of compute_distance_field, and config (a
+    driver.AmrConfig) the weight's c1, c2 and k."""
     res = compute_residuals(solution)
-    sigma_T = weight_element(mesh.h_T, rho, config)
-    eta_T, eta, sigma_F = assemble_eta(
-        res, sigma_T, mesh, solution.method,
-        gamma=solution.gamma, alpha=solution.alpha)
-    eta_T_c, eta_c = assemble_eta_classical(
-        res, mesh, solution.method, gamma=solution.gamma)
+    sigma_T = weight_element(solution.mesh.h_T, rho, config)
+    eta_T, eta, sigma_F = assemble_eta(res, sigma_T, solution)
+    eta_T_c, eta_c = assemble_eta_classical(res, solution)
     return IndicatorField(res, sigma_T, sigma_F, eta_T, eta, eta_T_c, eta_c)
 
 

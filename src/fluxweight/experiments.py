@@ -2,12 +2,14 @@
 
 A manifest is a JSON object with method/estimator parameters and a list
 of studies; each study may override any parameter.  A key that neither
-the manifest nor its study knows, or two studies of one name, stop the
-run before any study starts.  The runner writes
+the manifest nor its study knows, two studies of one name, or a value
+that a study's AmrConfig refuses stop the run before any study starts
+and before the output directory is made.  The runner writes
 per-study directories with the convergence record CSV, derived rate
-tables, self-contained SVG log-log plots, and optional mesh/indicator/
-pyramid dumps, then evaluates the manifest's assertions.  The process
-exit code is zero exactly when every assertion passes.
+tables, self-contained SVG log-log plots, and optional mesh (a weight
+demo's at every step), indicator and pyramid dumps, then evaluates the
+manifest's assertions.  The process exit code is zero exactly when
+every assertion passes.
 """
 
 import json
@@ -79,13 +81,12 @@ def _write_uniform_table(record, path):
 
 def write_weight_summary(meshes, path):
     """The summary.csv of a weight demo: element count and refinement
-    depths per step.  Returns the depths of the last mesh."""
+    depths per step."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,elements,depth_near_boundary,depth_center\n")
         for i, msh in enumerate(meshes):
             nb, ct = driver.refinement_depth_stats(msh)
             fh.write(f"{i},{msh.num_triangles},{nb},{ct}\n")
-    return nb, ct
 
 
 def _study_name(study):
@@ -94,7 +95,8 @@ def _study_name(study):
 
 def check_manifest(manifest):
     """Raise ValueError at a key that neither the manifest nor a study
-    knows, at two studies of one name, or at an assertion of an unknown
+    knows, at two studies of one name, at a value that a study's
+    AmrConfig refuses (config_from), or at an assertion of an unknown
     kind or one that refers to no study of the manifest."""
     unknown = sorted(set(manifest) - set(_CONFIG_KEYS)
                      - {"studies", "assertions"})
@@ -109,6 +111,7 @@ def check_manifest(manifest):
         if name in names:
             raise ValueError(f"two studies named {name!r}")
         names.add(name)
+        config_from(manifest, study)
     for spec in manifest.get("assertions", []):
         if spec.get("check") not in _ASSERTION_KINDS:
             raise ValueError(f"unknown assertion {spec.get('check')!r}")
@@ -147,6 +150,8 @@ def run_study(study, manifest, out_dir, dumps):
         meshes = driver.weight_demo(cfg, study.get("steps", 7))
         write_weight_summary(meshes, sdir / "summary.csv")
         if dumps.get("mesh"):
+            for i, msh in enumerate(meshes):
+                dump_mesh(msh, sdir / f"mesh_step{i}.txt")
             dump_mesh(meshes[-1], sdir / "final_mesh.txt")
         return StudyResult(name, records)
     else:

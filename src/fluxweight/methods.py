@@ -179,7 +179,6 @@ class DiscreteSolution:
     multiplier: Optional[np.ndarray] = None
     gamma: Optional[float] = None
     alpha: Optional[float] = None
-    sign: int = 1
     # integral f and integral |f| by the load rule of the solve
     # (integral f is the sum of the load vector)
     f_integral: float = np.nan
@@ -316,8 +315,7 @@ def _solve_multiplier(method, problem, mesh, k, kprime, continuous,
                                order=fem.dissection_order(space, bspace)))
     return DiscreteSolution(method, problem, space, x[:nb],
                             multiplier_space=bspace, multiplier=x[nb:],
-                            alpha=alpha if alpha > 0 else None, sign=sign,
-                            **loads)
+                            alpha=alpha if alpha > 0 else None, **loads)
 
 
 def solve_lagrange(problem, mesh, k=2, kprime=0, continuous=False):
@@ -361,8 +359,8 @@ def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1):
     rhs = F + fem.facet_vector(n, dofs, sign * adn + gamma / hF[..., None]
                                * vals, gv * lenw)
     x = fem.solve(SparseSystem(K, rhs, order=fem.dissection_order(space)))
-    return DiscreteSolution(NITSCHE, problem, space, x,
-                            gamma=gamma, sign=sign, **loads)
+    return DiscreteSolution(NITSCHE, problem, space, x, gamma=gamma,
+                            **loads)
 
 
 def compatibility_defect(solution):

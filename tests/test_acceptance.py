@@ -237,12 +237,12 @@ def test_criterion_9_property_suites():
                   and np.allclose(d1, [math.sqrt(2.0) / 2.0, 0.0],
                                   atol=1e-15))
     # weight formula
-    cfg1 = estimator.WeightConfig(1.0, 1.0, 1)
+    cfg1 = AmrConfig(c1=1.0, c2=1.0, k=1)
     checks.append(estimator.weight_element(0.3, 0.0, cfg1) == 1.0)
     checks.append(abs(estimator.weight_element(0.01, 0.5, cfg1) - 0.02)
                   <= 1e-15)
     checks.append(estimator.weight_element(
-        0.1, 0.05, estimator.WeightConfig(1.0, 1.0, 2)) == 1.0)
+        0.1, 0.05, AmrConfig(c1=1.0, c2=1.0, k=2)) == 1.0)
     # marking rule
     checks.append(driver.mark(np.array([1.0, 0.6, 0.4]), 0.5).tolist()
                   == [0, 1])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -34,14 +35,31 @@ def test_list_problems(capsys):
         assert name in out
 
 
-def test_demo_weights_cli(tmp_path, capsys):
-    rc = main(["demo-weights", "--k", "2", "--c2", "1.0", "--steps", "2",
-               "--out", str(tmp_path / "w")])
+def test_weights_manifest_dumps_every_step(tmp_path):
+    rc = main(["run", str(ROOT / "manifests" / "weights.json"),
+               "--out", str(tmp_path / "w"), "--dump-mesh"])
     assert rc == 0
-    summary = (tmp_path / "w" / "summary.csv").read_text().splitlines()
-    assert summary[0] == "step,elements,depth_near_boundary,depth_center"
-    assert len(summary) == 4
-    assert (tmp_path / "w" / "mesh_step0.txt").exists()
+    out = tmp_path / "w" / "weights"
+    assert (out / "summary.csv").read_text().splitlines() == [
+        "step,elements,depth_near_boundary,depth_center",
+        "0,32,0,0", "1,64,1,1", "2,128,2,2", "3,256,3,3",
+        "4,488,4,4", "5,872,5,4", "6,1456,6,4", "7,2352,7,4"]
+    for i in range(8):
+        assert (out / f"mesh_step{i}.txt").exists()
+    assert not (out / "mesh_step8.txt").exists()
+    assert ((out / "mesh_step7.txt").read_text()
+            == (out / "final_mesh.txt").read_text())
+
+
+def test_readme_commands_are_subcommands(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = set(re.findall(r"(?:^|`)fluxweight ([a-z][a-z-]*)", readme,
+                              re.MULTILINE))
+    assert {"run", "list-problems"} <= commands
+    for command in sorted(commands):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0, command
 
 
 def test_run_manifest_outputs(tmp_path):
@@ -128,12 +146,6 @@ def test_assertion_vocabulary(tmp_path):
     assert len(report["assertions"]) == 5
 
 
-def test_demo_weights_refuses_a_theta_outside_the_unit_interval(tmp_path):
-    with pytest.raises(ValueError, match="marking fraction"):
-        main(["demo-weights", "--theta", "1.5", "--out", str(tmp_path / "w")])
-    assert not (tmp_path / "w").exists()
-
-
 @pytest.mark.parametrize("path", sorted(
     (ROOT / "manifests").glob("*.json")) + sorted(
     (ROOT / "bench" / "workloads").glob("*.json")), ids=lambda p: p.stem)
@@ -151,6 +163,16 @@ def test_shipped_manifests_pass_the_check(path):
      "assertion 'rows' names no study 'amrr'"),
     (dict(assertions=[{"check": "rows_max", "study": "amr", "count": 2}]),
      "unknown assertion 'rows_max'"),
+    # a value is refused at its study, also when another study comes first
+    (dict(studies=[{"name": "uni", "type": "uniform", "levels": 1},
+                   {"name": "amr", "type": "amr", "theta": 1.5}],
+          assertions=[]), "marking fraction"),
+    (dict(theta=0.0), "marking fraction"),
+    (dict(C1=0.0), "weight constants must be positive"),
+    (dict(studies=[{"name": "amr", "type": "amr", "C2": -1.0}],
+          assertions=[]), "weight constants must be positive"),
+    (dict(estimator="eta_classic"), "unknown estimator 'eta_classic'"),
+    (dict(method="nitsch"), "unknown method 'nitsch'"),
 ])
 def test_malformed_manifest_is_refused_before_any_study(tmp_path, overrides,
                                                         match):

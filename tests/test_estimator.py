@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fluxweight import estimator as est
 from fluxweight import fem, methods
+from fluxweight.driver import AmrConfig
 from fluxweight.mesh import (build_domain_mesh, build_unit_square,
                              compute_distance_field, refine)
 from fluxweight.problems import problem_data
@@ -14,10 +17,10 @@ from conftest import distorted_square4
 
 
 def test_weight_element_cases():
-    cfg = est.WeightConfig(1.0, 1.0, 1)
+    cfg = AmrConfig(c1=1.0, c2=1.0, k=1)
     assert est.weight_element(0.3, 0.0, cfg) == 1.0       # boundary branch
     assert est.weight_element(0.01, 0.5, cfg) == pytest.approx(0.02)
-    cfg2 = est.WeightConfig(1.0, 1.0, 2)
+    cfg2 = AmrConfig(c1=1.0, c2=1.0, k=2)
     assert est.weight_element(0.1, 0.05, cfg2) == 1.0     # min{1, 4}
 
 
@@ -31,7 +34,7 @@ def test_weight_facet():
        h2=st.floats(1e-6, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_weight_monotone(h, rho, h2):
-    cfg = est.WeightConfig(1.0, 0.7, 2)
+    cfg = AmrConfig(c1=1.0, c2=0.7, k=2)
     w = est.weight_element(h, rho, cfg)
     assert 0.0 < w <= cfg.c1
     # non-decreasing in h at fixed rho
@@ -44,8 +47,8 @@ def test_weight_monotone(h, rho, h2):
 
 
 def test_invalid_weight_config():
-    with pytest.raises(ValueError):
-        est.WeightConfig(0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="weight constants"):
+        AmrConfig(c1=0.0)
 
 
 def test_residuals_vanish_for_reproduced_solution(linear_problem, square4):
@@ -298,9 +301,8 @@ def test_eta_definition_single_contributions(square4):
     sol = methods.solve_nitsche(p, square4, k=1, gamma=10.0)
     r = est.compute_residuals(sol)
     sigma = est.weight_element(square4.h_T, compute_distance_field(square4),
-                               est.WeightConfig(1, 1, 1))
-    eta_T, eta, sigma_F = est.assemble_eta(r, sigma, square4, sol.method,
-                                           gamma=sol.gamma)
+                               AmrConfig(c1=1, c2=1, k=1))
+    eta_T, eta, sigma_F = est.assemble_eta(r, sigma, sol)
     # global value is exactly the root of summed squares
     assert eta == pytest.approx(np.sqrt((eta_T ** 2).sum()), rel=1e-12)
     # hand-check one boundary element
@@ -324,13 +326,12 @@ def test_eta_homogeneity(square4):
     sol = methods.solve_lagrange(p, square4, k=2, kprime=0)
     r = est.compute_residuals(sol)
     sigma = est.weight_element(square4.h_T, compute_distance_field(square4),
-                               est.WeightConfig(1, 1, 2))
-    _, eta, _ = est.assemble_eta(r, sigma, square4, sol.method)
-    import dataclasses
+                               AmrConfig(c1=1, c2=1, k=2))
+    _, eta, _ = est.assemble_eta(r, sigma, sol)
     r2 = dataclasses.replace(
         r, r1T=3 * r.r1T, r0F=3 * r.r0F, r1F=3 * r.r1F, r2F=3 * r.r2F,
         r3F=3 * r.r3F, patch_sq=9 * r.patch_sq)
-    _, eta2, _ = est.assemble_eta(r2, sigma, square4, sol.method)
+    _, eta2, _ = est.assemble_eta(r2, sigma, sol)
     assert eta2 == pytest.approx(3 * eta, rel=1e-12)
 
 
@@ -338,16 +339,15 @@ def test_classical_matches_weighted_when_constructed(square4):
     # with all weights at C1 = 1 and the boundary term r2 replaced by r3,
     # the weighted estimator coincides with the classical one (multiplier
     # method): constructed case per the definitions
-    import dataclasses
     p = problem_data("franke")
     sol = methods.solve_lagrange(p, square4, k=2, kprime=0)
     r = est.compute_residuals(sol)
     r_mod = dataclasses.replace(r, r2F=r.r3F.copy())
     sigma = est.weight_element(square4.h_T, compute_distance_field(square4),
-                               est.WeightConfig(1.0, 1e9, 1))
+                               AmrConfig(c1=1.0, c2=1e9, k=1))
     assert np.all(sigma == 1.0)
-    eta_T, eta, _ = est.assemble_eta(r_mod, sigma, square4, sol.method)
-    eta_T_c, eta_c = est.assemble_eta_classical(r, square4, sol.method)
+    eta_T, eta, _ = est.assemble_eta(r_mod, sigma, sol)
+    eta_T_c, eta_c = est.assemble_eta_classical(r, sol)
     assert eta == pytest.approx(eta_c, rel=1e-12)
     assert np.allclose(eta_T, eta_T_c, rtol=1e-12)
 
@@ -356,8 +356,9 @@ def test_classical_gamma_scaling(square4):
     p = problem_data("franke")
     sol = methods.solve_nitsche(p, square4, k=1, gamma=10.0)
     r = est.compute_residuals(sol)
-    _, e1 = est.assemble_eta_classical(r, square4, "nitsche", gamma=10.0)
-    _, e2 = est.assemble_eta_classical(r, square4, "nitsche", gamma=20.0)
+    _, e1 = est.assemble_eta_classical(r, sol)
+    _, e2 = est.assemble_eta_classical(
+        r, dataclasses.replace(sol, gamma=20.0))
     # the boundary part scales as gamma^2; with the interior parts fixed
     # the global value must satisfy e1 < e2 < 2*e1
     assert e1 < e2 < 2 * e1
@@ -373,9 +374,11 @@ def test_zero_residuals_zero_eta(square4):
         r3F=np.zeros(square4.num_boundary_facets),
         patch_sq=np.zeros((square4.num_boundary_facets, 2)))
     sigma = np.ones(square4.num_triangles)
-    _, eta, _ = est.assemble_eta(r, sigma, square4, "lagrange")
+    sol = methods.DiscreteSolution(methods.LAGRANGE, None,
+                                   fem.FeSpace(square4, 1), None)
+    _, eta, _ = est.assemble_eta(r, sigma, sol)
     assert eta == 0.0
-    _, eta_c = est.assemble_eta_classical(r, square4, "lagrange")
+    _, eta_c = est.assemble_eta_classical(r, sol)
     assert eta_c == 0.0
 
 
@@ -389,7 +392,7 @@ def test_interior_refinement_decreases_weighted_bulk():
         grad_a=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)),
         f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
-    cfg = est.WeightConfig(1.0, 1.0, 2)
+    cfg = AmrConfig(c1=1.0, c2=1.0, k=2)
 
     def bulk_term(mesh):
         sp = fem.FeSpace(mesh, 2)
@@ -411,7 +414,7 @@ def test_indicator_dump(tmp_path, square4):
     p = problem_data("franke")
     sol = methods.solve_nitsche(p, square4, k=1, gamma=10.0)
     rho = compute_distance_field(square4)
-    ind = est.build_indicators(sol, rho, est.WeightConfig(1, 1, 1))
+    ind = est.build_indicators(sol, rho, AmrConfig(c1=1, c2=1, k=1))
     path = tmp_path / "ind.csv"
     est.dump_indicators(ind, square4, rho, path)
     lines = path.read_text().splitlines()
