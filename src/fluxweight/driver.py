@@ -8,7 +8,7 @@ the error columns are E2 (the wavelet dual-norm surrogate, evaluated at
 every step), E1 (the auxiliary-problem value: at the final AMR step and
 at the uniform levels asked for), E = 4*E2 for the Nitsche/stabilized
 runs (the calibrated substitute for the true error), and the bulk energy
-error when the exact solution is known.
+error against the problem's exact solution.
 
 Every E1 uses one reference rule: the harmonic lifting is solved at
 order k+2 on a mesh graded from the boundary.  It is the coarse initial
@@ -29,7 +29,7 @@ from . import elements, fem, methods, norms
 from .mesh import (boundary_band, boundary_graded, build_domain_mesh,
                    build_graded_mesh, compute_distance_field,
                    distance_to_boundary, refine, uniform_refine)
-from .problems import problem_data
+from .problems import problem_data, problem_names
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +68,13 @@ class AmrConfig:
     initial_n: int = 4
 
     def __post_init__(self):
+        if self.problem not in problem_names():
+            raise ValueError(f"unknown problem {self.problem!r}")
         if self.method not in (methods.LAGRANGE, methods.BARBOSA_HUGHES,
                                methods.NITSCHE):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("weight constants must be positive")
         if not 0.0 < self.theta <= 1.0:
@@ -209,8 +213,8 @@ def _e1_of(delta, config, mesh):
 
 def step(config, problem, mesh, e1=False):
     """One step of any study on `mesh`: solve, the patch distances rho_T,
-    both estimators (whose volume pass also gives the energy error when
-    the exact solution is known), E2 and, with `e1`, E1 (see `_e1_of`).
+    both estimators (whose volume pass also gives the energy error), E2
+    and, with `e1`, E1 (see `_e1_of`).
     Logs one INFO line: N and the wall time of each phase, the energy
     error's within the estimator's.
 

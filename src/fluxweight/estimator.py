@@ -16,14 +16,15 @@ a dn(u_h) on a facet rule are Horner evaluations of the trace rows
 (fem.monomial_values), and the discrete flux of every method comes
 from BoundaryFlux.values.  The boundary residuals and
 the vertex-patch terms share one pass over the facet rule, which
-evaluates g and its tangential derivative once, from one evaluation of
-the exact solution when there is one (ProblemSpec.facet_data).
+evaluates the Dirichlet data g (the trace of the exact solution u) and
+its tangential derivative once, from one evaluation of u and grad u
+(ProblemSpec.facet_data).
 
 The volume residual makes one pass over the space's triangle rule with
-one grad u_h per block; it reads f from the solve's load pass and, when
-the exact solution is known, also sums the energy error |u - u_h|_1,
-with grad u from that pass too, which the driver records.  The values
-of that pass end there: compute_residuals drops them from the solution.
+one grad u_h per block; it reads f and grad u from the solve's load
+pass and also sums the energy error |u - u_h|_1, which the driver
+records.  The values of that pass end there: compute_residuals drops
+them from the solution.
 """
 
 from dataclasses import dataclass
@@ -65,8 +66,7 @@ class Residuals:
     r2F: np.ndarray          # h^1/2 |g - u_h|_1,F
     r3F: np.ndarray          # h^-1/2 ||u_h - g||_F
     patch_sq: np.ndarray     # (nbf, 2): r(F,P)^2 for the left/right vertex of F
-    # |u - u_h|_1 when the exact solution is known (else nan), from the
-    # volume residual's pass
+    # |u - u_h|_1, from the volume residual's pass
     energy_err: float = np.nan
 
 
@@ -89,11 +89,15 @@ def compute_residuals(solution):
     The volume term expands div(a grad u_h) = a lap(u_h) + grad(a).grad(u_h)
     elementwise; boundary seminorms differentiate along the facet.  The
     volume pass reads f and grad u where the solve kept them
-    (DiscreteSolution.f_values, grad_u_values) and then drops them.
+    (DiscreteSolution.f_values, grad_u_values) and then drops them; a
+    solution that carries none, built by hand, has them evaluated here.
     """
     mesh = solution.mesh
-    r1T, energy_err = _volume_residual(solution, solution.f_values,
-                                       solution.grad_u_values)
+    fv, guv = solution.f_values, solution.grad_u_values
+    if fv is None:
+        fv, guv = fem.rule_values(solution.space,
+                                  solution.problem.f_and_grad_u)
+    r1T, energy_err = _volume_residual(solution, fv, guv)
     solution.f_values = solution.grad_u_values = None
     r0F = _flux_jumps(solution)
     r1F, r2F, r3F, patch_sq = _boundary_residuals(solution)
@@ -102,11 +106,9 @@ def compute_residuals(solution):
 
 
 def _volume_residual(solution, fv, guv):
-    """r1T per triangle and, when the exact solution is known, the
-    energy error |u - u_h|_1 (else nan), from one pass over the space's
-    triangle rule with one grad u_h per block.  f and grad u come from
-    fv and guv, the solve's load pass (DiscreteSolution.f_values,
-    grad_u_values), where they are not None."""
+    """r1T per triangle and the energy error |u - u_h|_1, from one pass
+    over the space's triangle rule with one grad u_h per block, with
+    the values fv of f and guv of grad u at that rule."""
     space, problem = solution.space, solution.problem
     mesh = space.mesh
     qp, qw = triangle_rule(space.degree)
@@ -125,17 +127,13 @@ def _volume_residual(solution, fv, guv):
         grad_u = fem.physical_gradients(co, gref, invJT)
         pts = mesh.triangle_points(blk, qp)
         x, y = pts[..., 0], pts[..., 1]
-        f = problem.f(x, y) if fv is None else fv[blk]
         ga = problem.grad_a(x, y)
-        res = (f + problem.a(x, y) * lap_u
+        res = (fv[blk] + problem.a(x, y) * lap_u
                + ga[..., 0] * grad_u[..., 0] + ga[..., 1] * grad_u[..., 1])
         out[blk] = np.sqrt((res * res) @ qw * det)
-        if problem.has_exact:
-            gu = problem.grad_u(x, y) if guv is None else guv[blk]
-            diff = gu - grad_u
-            energy += ((diff * diff).sum(axis=-1) @ qw) @ det
-    energy_err = float(np.sqrt(energy)) if problem.has_exact else np.nan
-    return mesh.h_T * out, energy_err
+        diff = guv[blk] - grad_u
+        energy += ((diff * diff).sum(axis=-1) @ qw) @ det
+    return mesh.h_T * out, float(np.sqrt(energy))
 
 
 def _flux_jumps(solution):

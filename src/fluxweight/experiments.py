@@ -38,6 +38,7 @@ _CONFIG_KEYS = {
     "initial_n": "initial_n",
 }
 _STUDY_KEYS = {"name", "type", "levels", "e1_levels", "h_list", "steps"}
+_STUDY_TYPES = {"uniform", "amr", "graded", "amr_comparison", "weight_demo"}
 _ASSERTION_KINDS = {"rows", "rate_last", "ratio_band", "slope_max",
                     "final_factor"}
 
@@ -95,15 +96,18 @@ def _study_name(study):
 
 def check_manifest(manifest):
     """Raise ValueError at a key that neither the manifest nor a study
-    knows, at two studies of one name, at a value that a study's
-    AmrConfig refuses (config_from), or at an assertion of an unknown
-    kind or one that refers to no study of the manifest."""
+    knows, at a study type that run_study does not know, at two studies
+    of one name, at a value that a study's AmrConfig refuses
+    (config_from), or at an assertion of an unknown kind or one that
+    refers to no study of the manifest."""
     unknown = sorted(set(manifest) - set(_CONFIG_KEYS)
                      - {"studies", "assertions"})
     if unknown:
         raise ValueError(f"unknown manifest key {unknown[0]!r}")
     names = set()
     for study in manifest.get("studies", []):
+        if study.get("type") not in _STUDY_TYPES:
+            raise ValueError(f"unknown study type {study.get('type')!r}")
         name = _study_name(study)
         unknown = sorted(set(study) - set(_CONFIG_KEYS) - _STUDY_KEYS)
         if unknown:
@@ -122,7 +126,8 @@ def check_manifest(manifest):
 
 
 def run_study(study, manifest, out_dir, dumps):
-    """Execute one study dict; returns a StudyResult."""
+    """Execute one study dict of a checked manifest (check_manifest);
+    returns a StudyResult."""
     name = _study_name(study)
     kind = study["type"]
     cfg = config_from(manifest, study)
@@ -154,8 +159,6 @@ def run_study(study, manifest, out_dir, dumps):
                 dump_mesh(msh, sdir / f"mesh_step{i}.txt")
             dump_mesh(meshes[-1], sdir / "final_mesh.txt")
         return StudyResult(name, records)
-    else:
-        raise ValueError(f"unknown study type {kind!r}")
 
     for label, rec in records.items():
         rec.to_csv(sdir / (f"record.csv" if len(records) == 1

@@ -451,23 +451,20 @@ def assemble_stiffness(space, a=None):
 
 def rule_values(space, fn):
     """fn(x, y) at the points of the space's triangle rule, block by
-    block: fn returns an array, or a tuple of arrays, of leading shape
-    (block, nq), and so does this, for every triangle, written block by
-    block into arrays allocated once."""
+    block: fn returns a tuple of arrays of leading shape (block, nq),
+    and so does this, for every triangle, written block by block into
+    arrays allocated once."""
     mesh = space.mesh
     qp, _ = triangle_rule(space.degree)
     out = None
     for blk in _blocks(mesh.num_triangles):
         vals = fn(*np.moveaxis(mesh.triangle_points(blk, qp), -1, 0))
-        single = not isinstance(vals, tuple)
-        if single:
-            vals = (vals,)
         if out is None:
-            out = [np.empty((mesh.num_triangles,) + np.shape(v)[1:])
-                   for v in vals]
+            out = tuple(np.empty((mesh.num_triangles,) + np.shape(v)[1:])
+                        for v in vals)
         for o, v in zip(out, vals):
             o[blk] = v
-    return out[0] if single else tuple(out)
+    return out
 
 
 def assemble_load_sums(space, fv):
@@ -491,7 +488,8 @@ def assemble_load_sums(space, fv):
 
 def assemble_load(space, f):
     """Load vector b_i = integral of f * phi_i."""
-    return assemble_load_sums(space, rule_values(space, f))[0]
+    fv, = rule_values(space, lambda x, y: (f(x, y),))
+    return assemble_load_sums(space, fv)[0]
 
 
 def boundary_integral_vector(space):

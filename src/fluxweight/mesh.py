@@ -114,27 +114,23 @@ class Mesh:
     def _build_topology(self):
         tri = self.triangles
         nt = len(tri)
-        # local edge i is opposite local vertex i
-        edges_all = np.concatenate(
-            [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=0)
-        # one int64 key per edge, lo*nv + hi, sorts as the (lo, hi) rows
+        # one int64 key per local edge, lo*nv + hi, at index 3*t + i for
+        # edge i of triangle t, which is opposite its vertex i; the keys
+        # sort as the (lo, hi) rows, each edge's in triangle order
         nv = len(self.vertices)
-        key = (np.minimum(edges_all[:, 0], edges_all[:, 1]) * nv
-               + np.maximum(edges_all[:, 0], edges_all[:, 1]))
-        ukey, inv = np.unique(key, return_inverse=True)
-        self.edges = np.column_stack(np.divmod(ukey, nv))
-        ne = len(self.edges)
-        self.tri_edges = inv.reshape(3, nt).T.copy()
-
-        flat = self.tri_edges.ravel()  # index 3*t + le
-        order = np.argsort(flat, kind="stable")
-        se = flat[order]
-        start = np.r_[True, se[1:] != se[:-1]]
-        group_start = np.maximum.accumulate(
-            np.where(start, np.arange(len(se)), 0))
-        slot = np.arange(len(se)) - group_start
-        if slot.max(initial=0) > 1:
+        p, q = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+        key = np.minimum(p, q) * nv + np.maximum(p, q)
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+        second = np.r_[False, sk[1:] == sk[:-1]]
+        if (sk[2:] == sk[:-2]).any():
             raise ValueError("non-manifold mesh: edge shared by > 2 triangles")
+        self.edges = np.column_stack(np.divmod(sk[~second], nv))
+        ne = len(self.edges)
+        se, slot = np.cumsum(~second) - 1, second.astype(np.int64)
+        inv = np.empty(3 * nt, dtype=np.int64)
+        inv[order] = se
+        self.tri_edges = inv.reshape(nt, 3)
         self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
         self.edge_local = np.full((ne, 2), -1, dtype=np.int64)
         self.edge_tris[se, slot] = order // 3

@@ -1,5 +1,7 @@
 """The three boundary-condition treatments for the Dirichlet problem.
 
+Every problem is manufactured: ProblemSpec holds the exact solution u,
+whose trace is the Dirichlet data g, and the source f = -div(a grad u).
 Each solver returns a DiscreteSolution whose discrete flux (the
 approximation of the outward normal flux a*du/dn on the boundary) is
 either an explicit coefficient vector in a BoundarySpace (Lagrange
@@ -21,7 +23,7 @@ defect and its scale, which integrates by the solve's own rules, those
 of FeSpace.degree.  The Lagrange multiplier method is the alpha = 0
 case of the Barbosa-Hughes solve.
 
-Dirichlet data enters weakly everywhere: nothing is interpolated
+The Dirichlet data enters weakly everywhere: nothing is interpolated
 nodally.  The `sign` argument selects the symmetric (-1) or the
 antisymmetric (+1, default) variant of the stabilized methods.
 """
@@ -43,17 +45,15 @@ NITSCHE = "nitsche"
 
 @dataclass
 class ProblemSpec:
-    """Diffusion problem -div(a grad u) = f with Dirichlet data g.
+    """Diffusion problem -div(a grad u) = f, given by its exact solution
+    u, whose trace is the Dirichlet data.
 
     All callables are vectorized over numpy arrays.  grad_u and grad_a
-    return arrays with a trailing axis of length 2.  The exact solution
-    and its gradient are optional; when present, g defaults to the trace
-    of u and the exact flux to a * grad(u) . n.  `solution` returns
-    (u, grad_u) from one evaluation; u and grad_u default to its parts,
-    and when g is u, boundary_values reads both from one call.
-    `f_and_grad_u`, when given, returns (f, grad_u) from one evaluation,
-    equal to those of f and grad_u: the solve's load pass reads both,
-    and f defaults to its first part.
+    return arrays with a trailing axis of length 2.  `solution` returns
+    (u, grad_u) from one evaluation and `f_and_grad_u` (f, grad_u) from
+    one evaluation; the solve's load pass reads the latter.  Either
+    form may be given by its parts (u with grad_u, and f), and the
+    missing callables are derived from what is given.
     """
 
     name: str
@@ -63,7 +63,6 @@ class ProblemSpec:
     f: Optional[Callable] = None
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
-    g: Optional[Callable] = None
     solution: Optional[Callable] = None
     f_and_grad_u: Optional[Callable] = None
     # Gauss sums of the boundary data over dyadic cells, filled and read
@@ -72,63 +71,44 @@ class ProblemSpec:
                                repr=False, compare=False)
 
     def __post_init__(self):
-        if self.f is None:
-            source = self.f_and_grad_u
-            if source is None:
-                raise ValueError("either f or f_and_grad_u must be given")
-            self.f = lambda x, y: source(x, y)[0]
         both = self.solution
-        if both is not None:
-            if self.u is None:
-                self.u = lambda x, y: both(x, y)[0]
-            if self.grad_u is None:
-                self.grad_u = lambda x, y: both(x, y)[1]
-        if self.g is None:
-            if self.u is None:
-                raise ValueError("either g or the exact solution must be given")
-            self.g = self.u
-
-    @property
-    def has_exact(self):
-        return self.u is not None and self.grad_u is not None
+        if both is None:
+            u, grad_u = self.u, self.grad_u
+            if u is None or grad_u is None:
+                raise ValueError("the exact solution must be given: "
+                                 "solution, or u and grad_u")
+            self.solution = lambda x, y: (u(x, y), grad_u(x, y))
+        if self.u is None:
+            self.u = lambda x, y: both(x, y)[0]
+        if self.grad_u is None:
+            self.grad_u = lambda x, y: both(x, y)[1]
+        source = self.f_and_grad_u
+        if source is None:
+            f, grad_u = self.f, self.grad_u
+            if f is None:
+                raise ValueError("the source must be given: "
+                                 "f_and_grad_u, or f")
+            self.f_and_grad_u = lambda x, y: (f(x, y), grad_u(x, y))
+        elif self.f is None:
+            self.f = lambda x, y: source(x, y)[0]
 
     def exact_flux(self, x, y, nx, ny):
         """a * grad(u) . n at boundary points with outward normal (nx, ny)."""
-        if self.grad_u is None:
-            raise ValueError(f"problem {self.name!r} has no exact flux")
-        return _normal_flux(self.a(x, y), self.grad_u(x, y), nx, ny)
+        return self.boundary_values(x, y, nx, ny)[0]
 
     def boundary_values(self, x, y, nx, ny):
-        """(exact flux, g) at boundary points with outward normal
-        (nx, ny), from one call of `solution` when g is u."""
-        if self.solution is None or self.g is not self.u:
-            return self.exact_flux(x, y, nx, ny), self.g(x, y)
+        """(exact flux, u) at boundary points with outward normal
+        (nx, ny), from one call of `solution`."""
         u, gu = self.solution(x, y)
         return _normal_flux(self.a(x, y), gu, nx, ny), u
 
     def facet_data(self, mesh, t):
-        """g and its tangential derivative at the parameters t on every
-        boundary facet, shape (facets, len(t)) each: from one call of
-        `solution` when g is u, else from g and g_tangential."""
+        """u and its tangential derivative at the parameters t on every
+        boundary facet, shape (facets, len(t)) each, from one call of
+        `solution`."""
         x, y = np.moveaxis(mesh.facet_points(t), -1, 0)
-        if self.solution is None or self.g is not self.u:
-            return self.g(x, y), self.g_tangential(mesh, t)
         u, gu = self.solution(x, y)
         return u, _tangential(gu, mesh)
-
-    def g_tangential(self, mesh, t):
-        """Tangential derivative of g at the parameters t on every
-        boundary facet, shape (facets, len(t)); analytic when grad_u is
-        available, otherwise central differences in arc length."""
-        if self.grad_u is not None:
-            pts = mesh.facet_points(t)
-            return _tangential(self.grad_u(pts[..., 0], pts[..., 1]), mesh)
-        h = 1e-6
-        t1, t0 = np.clip(t + h, 0.0, 1.0), np.clip(t - h, 0.0, 1.0)
-        p1, p0 = mesh.facet_points(t1), mesh.facet_points(t0)
-        ds = (t1 - t0) * mesh.bf_len[:, None]
-        return (self.g(p1[..., 0], p1[..., 1])
-                - self.g(p0[..., 0], p0[..., 1])) / ds
 
 
 def _normal_flux(a, gu, nx, ny):
@@ -158,8 +138,9 @@ class BoundaryFlux:
 
     def values(self, facet_ids, t, a=None, g=None):
         """lambda_h at the parameters t of the facets facet_ids, which
-        broadcast against t, given the values of a and g at those points
-        (ignored by multiplier fluxes)."""
+        broadcast against t, given the values of a and of the Dirichlet
+        data g (the trace of u) at those points (ignored by multiplier
+        fluxes)."""
         lam = fem.monomial_values(self.q[facet_ids], t)
         if self.d is None:
             return lam
@@ -183,10 +164,10 @@ class DiscreteSolution:
     # (integral f is the sum of the load vector)
     f_integral: float = np.nan
     abs_f_integral: float = np.nan
-    # f and, when the exact solution is known, grad u at the points of
-    # the space's triangle rule, (triangles, nq, ...), from the solve's
-    # load pass, for the estimator's volume pass, which drops them once
-    # it has read them (estimator.compute_residuals)
+    # f and grad u at the points of the space's triangle rule,
+    # (triangles, nq, ...), from the solve's load pass, for the
+    # estimator's volume pass, which drops them once it has read them
+    # (estimator.compute_residuals)
     f_values: Optional[np.ndarray] = field(default=None, repr=False)
     grad_u_values: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -242,26 +223,21 @@ class DiscreteSolution:
             return self.flux.values(facet_ids, t)
         x, y = np.moveaxis(self.mesh.boundary_points(facet_ids, t), -1, 0)
         return self.flux.values(facet_ids, t, self.problem.a(x, y),
-                                self.problem.g(x, y))
+                                self.problem.u(x, y))
 
 
 def _prologue(problem, mesh, k):
     """What every solver starts from: the bulk space of order k, its
     element stiffness matrices, its load vector with the integrals of f
-    and |f| by the same rule, the values of f and, when the exact
-    solution is known, of grad u at that rule, from one evaluation of
-    f_and_grad_u where the problem has it (the keywords of
+    and |f| by the same rule, the values of f and grad u at that rule,
+    from one evaluation of f_and_grad_u (the keywords of
     DiscreteSolution in `loads`), and the boundary data on the facet
     rule t, each of shape (facets, len(t), ...): the bulk basis, a dn of
-    it, g and the weights w_q h_F, with the dofs of each facet
-    (t, vals, adn, dofs, gv, lenw)."""
+    it, the Dirichlet data u and the weights w_q h_F, with the dofs of
+    each facet (t, vals, adn, dofs, gv, lenw)."""
     space = FeSpace(mesh, k)
     Ke = fem.element_stiffness(space, problem.a)
-    gu = None
-    if problem.has_exact and problem.f_and_grad_u is not None:
-        fv, gu = fem.rule_values(space, problem.f_and_grad_u)
-    else:
-        fv = fem.rule_values(space, problem.f)
+    fv, gu = fem.rule_values(space, problem.f_and_grad_u)
     F, abs_f = fem.assemble_load_sums(space, fv)
     t, w = segment_rule(space.degree)
     vals, grads, dofs = fem.facet_basis(space, t, gradients=True)
@@ -271,7 +247,7 @@ def _prologue(problem, mesh, k):
     lenw = w * mesh.bf_len[:, None]
     loads = dict(f_integral=float(F.sum()), abs_f_integral=abs_f,
                  f_values=fv, grad_u_values=gu)
-    return space, Ke, F, loads, (t, vals, adn, dofs, problem.g(x, y), lenw)
+    return space, Ke, F, loads, (t, vals, adn, dofs, problem.u(x, y), lenw)
 
 
 def _pair(vals_i, vals_j, weight):

@@ -56,7 +56,6 @@ from .quadrature import segment_rule
 LOW_PASS = (math.sqrt(2.0) / 2.0) * np.array(
     [3 / 128, -3 / 128, -11 / 64, 11 / 64, 1.0, 1.0,
      11 / 64, -11 / 64, -3 / 128, 3 / 128])
-BAND_PASS = np.array([1.0, -1.0])
 
 MAX_LEVEL = 40
 
@@ -162,12 +161,13 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
 
     "lam" holds sum_q w_q lam(x_q) of the exact flux, one entry per
     cell.  When with_data (the flux reads a and g: Nitsche's), "g" holds
-    sum_q w_q g(x_q), and "a" the value of a if it is the same at every
-    point, else an array of its values of shape (len(gp), 2^M).  Kept in
+    sum_q w_q g(x_q) of the Dirichlet data g, the trace of the exact
+    solution u, and "a" the value of a if it is the same at every point,
+    else an array of its values of shape (len(gp), 2^M).  Kept in
     problem.dyadic_cache under (polygon, M, with_data), computed once,
     in chunks of cells: the points, normals and data of every rule point
-    of a chunk in one pass, with lam and g from one evaluation of the
-    exact solution (ProblemSpec.boundary_values).  A cell that a corner
+    of a chunk in one pass, with lam and g from one evaluation of u and
+    grad u (ProblemSpec.boundary_values).  A cell that a corner
     cuts gets values from the side of each point; sample_to_dyadic never
     reads them, since corners are facet ends.
     """

@@ -1,11 +1,12 @@
 """Registered benchmark problems with closed-form data.
 
-Each entry carries hand-differentiated expressions for u, grad(u), the
-diffusion coefficient and its gradient, and the manufactured source
-f = -div(a grad u), and f with grad(u) from one evaluation
-(f_and_grad_u), which the solve's load pass reads.  A finite-difference
-consistency test guards the algebra (verify_problem in
-tests/conftest.py).
+Each entry carries the diffusion coefficient and its gradient and two
+hand-differentiated callables: the exact solution u with grad(u)
+(solution), whose trace is the Dirichlet data, and the manufactured
+source f = -div(a grad u) with grad(u) (f_and_grad_u), which the
+solve's load pass reads; ProblemSpec derives u, grad_u and f from
+them.  A finite-difference consistency test guards the algebra
+(verify_problem in tests/conftest.py).
 """
 
 import numpy as np
@@ -25,9 +26,9 @@ _FRANKE_TERMS = (
 )
 
 
-def _franke_terms(x, y, derivatives=True):
-    """Per Franke term: A*exp(p) and, with `derivatives`, the first and
-    second derivatives (px, py, pxx, pyy) of its exponent p."""
+def _franke_terms(x, y):
+    """Per Franke term: A*exp(p) and the first and second derivatives
+    (px, py, pxx, pyy) of its exponent p."""
     for kind, A, cx, sx, dx, cy, sy, dy in _FRANKE_TERMS:
         tx = cx * x + sx
         ty = cy * y + sy
@@ -36,9 +37,6 @@ def _franke_terms(x, y, derivatives=True):
         else:  # squared in x, linear in y
             p = -(tx * tx) / dx - ty / dy
         e = A * np.exp(p)
-        if not derivatives:
-            yield e, None
-            continue
         px = -2.0 * cx * tx / dx
         pxx = -2.0 * cx * cx / dx
         if kind == "sq":
@@ -72,14 +70,6 @@ def _zeros2(x, y):
 
 
 def _franke():
-    # u sums only the values; solution the values and the gradient;
-    # f_and_grad_u the source and the gradient
-    def u(x, y):
-        val = np.zeros_like(np.asarray(x, dtype=float))
-        for e, _ in _franke_terms(x, y, derivatives=False):
-            val += e
-        return val
-
     def solution(x, y):
         val = np.zeros_like(np.asarray(x, dtype=float))
         gx = np.zeros_like(val)
@@ -100,7 +90,7 @@ def _franke():
             gy += e * py
         return -lap, np.stack([gx, gy], axis=-1)
 
-    return ProblemSpec("franke", "unit-square", _ones, _zeros2, u=u,
+    return ProblemSpec("franke", "unit-square", _ones, _zeros2,
                        solution=solution, f_and_grad_u=f_and_grad_u)
 
 
@@ -158,16 +148,13 @@ def _lshape_singular():
         e, gx, gy, _ = _gauss_peak(x, y)
         return sv + e, np.stack([sx + gx, sy + gy], axis=-1)
 
-    def f(x, y):
-        # the singular part is harmonic: only the peak contributes
-        return -_gauss_peak(x, y)[3]
-
     def f_and_grad_u(x, y):
+        # the singular part is harmonic: only the peak contributes to f
         _, sx, sy = _corner_singular(x, y)
         _, gx, gy, lap = _gauss_peak(x, y)
         return -lap, np.stack([sx + gx, sy + gy], axis=-1)
 
-    return ProblemSpec("lshape-singular", "l-shape", _ones, _zeros2, f,
+    return ProblemSpec("lshape-singular", "l-shape", _ones, _zeros2,
                        solution=solution, f_and_grad_u=f_and_grad_u)
 
 

@@ -16,7 +16,8 @@ from fluxweight import driver, estimator, methods, norms
 from fluxweight.driver import AmrConfig
 from fluxweight.mesh import build_unit_square, check_mesh, refine
 
-from conftest import exact_flux_integral_defect, make_linear_problem
+from conftest import (exact_flux_integral_defect, make_linear_problem,
+                      make_poly_problem)
 
 # the studies take minutes: `pytest -m "not slow"` leaves them out
 pytestmark = pytest.mark.slow
@@ -270,12 +271,7 @@ def test_criterion_9_property_suites():
     ni = methods.solve_nitsche(p, build_unit_square(32), k=1, gamma=10.0)
     checks.append(abs(exact_flux_integral_defect(ni)) <= 1e-9)
     # penalty-multiplier elimination equivalence to 1e-8
-    poly = methods.ProblemSpec(
-        name="poly", domain="unit-square",
-        a=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        grad_a=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)),
-        f=lambda x, y: np.full_like(np.asarray(x, dtype=float), 2.0),
-        g=lambda x, y: x * y + 1.0)
+    poly = make_poly_problem()
     bh = methods.solve_barbosa_hughes(poly, m4, k=1, kprime=1, alpha=0.1)
     nit = methods.solve_nitsche(poly, m4, k=1, gamma=10.0)
     checks.append(np.abs(bh.coeffs - nit.coeffs).max()

@@ -102,3 +102,13 @@ def test_checks_calls_bind_to_the_program():
         fn = getattr(module, name)
         inspect.signature(fn).bind(*range(nargs), **dict.fromkeys(keywords))
     assert (norms, "neumann_dual_error", 2, ["order"]) in calls
+
+
+def test_selftest_calls_bind_to_the_program():
+    calls = _program_calls(BENCH / "selftest.py")
+    for module, name, nargs, keywords in calls:
+        fn = getattr(module, name)
+        inspect.signature(fn).bind(*range(nargs), **dict.fromkeys(keywords))
+    assert (methods, "ProblemSpec", 2,
+            ["a", "grad_a", "f", "u", "grad_u"]) in calls
+    assert (methods, "solve_barbosa_hughes", 2, ["k"]) in calls

@@ -173,6 +173,13 @@ def test_shipped_manifests_pass_the_check(path):
           assertions=[]), "weight constants must be positive"),
     (dict(estimator="eta_classic"), "unknown estimator 'eta_classic'"),
     (dict(method="nitsch"), "unknown method 'nitsch'"),
+    (dict(studies=[{"name": "uni", "type": "uniform", "levels": 1},
+                   {"name": "amr", "type": "amrr"}],
+          assertions=[]), "unknown study type 'amrr'"),
+    (dict(studies=[{"name": "uni", "type": "uniform", "levels": 1},
+                   {"name": "amr", "type": "amr", "problem": "frank"}],
+          assertions=[]), "unknown problem 'frank'"),
+    (dict(sign=2), "sign must be"),
 ])
 def test_malformed_manifest_is_refused_before_any_study(tmp_path, overrides,
                                                         match):

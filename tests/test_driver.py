@@ -173,7 +173,7 @@ def test_one_step_evaluates_its_data_once(monkeypatch):
     # a Franke Nitsche k=1 step reads f and grad u on the triangle rule
     # once, together (the solve's load pass, whose values the volume
     # residual and the energy error reuse); on the facet rule it
-    # evaluates the exact solution once per use: g for the solve, and g
+    # evaluates the exact solution once per use: u for the solve, and u
     # with its tangential derivative for the estimator.  Each mesh
     # builds its geometry once, the E1 reference's included.
     problem = problem_data("franke")
@@ -187,7 +187,6 @@ def test_one_step_evaluates_its_data_once(monkeypatch):
 
     for name in ("f", "u", "grad_u", "solution", "f_and_grad_u"):
         setattr(problem, name, counting(name, getattr(problem, name)))
-    problem.g = problem.u
     built = []
     geometry = mesh_module.affine_geometry
 

@@ -150,7 +150,9 @@ def test_volume_residual_constant_source(square8):
         a=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         grad_a=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)),
         f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
+        u=lambda x, y: 0.5 * x * (1.0 - x),
+        grad_u=lambda x, y: np.stack(np.broadcast_arrays(0.5 - x, 0.0 * y),
+                                     axis=-1))
     sp = fem.FeSpace(square8, 1)
     fake = methods.DiscreteSolution(methods.NITSCHE, p, sp,
                                     np.zeros(sp.ndof), gamma=10.0)
@@ -168,7 +170,8 @@ def test_flux_jump_hat_function():
         a=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         grad_a=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)),
         f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
+        u=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        grad_u=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)))
     sp = fem.FeSpace(m, 1)
     coeffs = np.zeros(sp.ndof)
     hat_vertex = np.nonzero(
@@ -263,7 +266,7 @@ def test_boundary_residuals_pointwise_oracle(order, method):
             G = sol.space.element.grad(ref[None])[0] @ np.linalg.inv(J)
             u[f, q] = local @ sol.space.element.eval(ref[None])[0]
             du[f, q] = (local @ G) @ tau
-            g[f, q] = p.g(x[0], x[1])
+            g[f, q] = p.u(x[0], x[1])
             dg[f, q] = p.grad_u(x[0], x[1]) @ tau
             if method != methods.NITSCHE:
                 bs = sol.multiplier_space
@@ -391,7 +394,9 @@ def test_interior_refinement_decreases_weighted_bulk():
         a=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         grad_a=lambda x, y: np.zeros(np.shape(np.asarray(x)) + (2,)),
         f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
+        u=lambda x, y: 0.5 * x * (1.0 - x),
+        grad_u=lambda x, y: np.stack(np.broadcast_arrays(0.5 - x, 0.0 * y),
+                                     axis=-1))
     cfg = AmrConfig(c1=1.0, c2=1.0, k=2)
 
     def bulk_term(mesh):

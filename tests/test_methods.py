@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -12,8 +10,9 @@ from fluxweight.quadrature import segment_rule
 from conftest import (assemble_grad_load, bulk_trace, coo_stiffness,
                       distorted_square4, exact_flux_integral_defect,
                       facet_point_basis, facet_point_pair, interpolate,
-                      make_linear_problem, minimum_degree_lu_nnz,
-                      multiplier_values, verify_problem)
+                      make_linear_problem, make_poly_problem,
+                      minimum_degree_lu_nnz, multiplier_values,
+                      verify_problem)
 
 
 def exact_flux_on_facets(problem, mesh, t=0.5):
@@ -41,7 +40,7 @@ def test_lagrange_weak_data_residual(linear_problem, square4):
     frep = np.repeat(facets, len(t))
     trep = np.tile(t, len(facets))
     pts = square4.boundary_points(frep, trep)
-    gv = linear_problem.g(pts[:, 0], pts[:, 1])
+    gv = linear_problem.u(pts[:, 0], pts[:, 1])
     uv, _ = bulk_trace(sol, frep, trep)
     lenw = np.tile(w, len(facets)) * np.repeat(square4.bf_len, len(t))
     per_facet = ((gv - uv) * lenw).reshape(len(facets), len(t)).sum(axis=1)
@@ -77,7 +76,7 @@ def test_nitsche_flux_matches_postprocessing_rule(k, gentle_problem,
     x, y = square8.boundary_points(f, t).T
     uv, dn = bulk_trace(sol, f, t)
     rule = (gentle_problem.a(x, y) * dn + 10.0 / square8.bf_len[f]
-            * (gentle_problem.g(x, y) - uv))
+            * (gentle_problem.u(x, y) - uv))
     assert np.abs(sol.flux_values(f, t) - rule).max() \
         <= 1e-12 * np.abs(rule).max()
 
@@ -142,11 +141,7 @@ def test_bh_vanishing_stabilization_matches_lagrange(square4):
 def test_penalty_elimination_equivalence(sign, square4):
     # eliminating a discontinuous P1 multiplier from the stabilized mixed
     # system reproduces Nitsche with gamma = 1/alpha (P1 bulk, constant a)
-    p = make_linear_problem(1.0, -2.0, 0.5)
-    p = methods.ProblemSpec(
-        name="poly", domain="unit-square", a=p.a, grad_a=p.grad_a,
-        f=lambda x, y: np.full_like(np.asarray(x, dtype=float), 2.0),
-        g=lambda x, y: x * y + 1.0)
+    p = make_poly_problem()
     alpha = 0.1
     bh = methods.solve_barbosa_hughes(p, square4, k=1, kprime=1,
                                       alpha=alpha, sign=sign)
@@ -237,18 +232,27 @@ def test_symmetric_and_antisymmetric_rates_agree():
     assert abs(rates[1] - rates[-1]) <= 0.2
 
 
-def test_g_tangential_differences_match_analytic():
-    # without grad_u, g_tangential takes central differences of g in arc
-    # length; Franke's g varies on the scale of its bumps
-    m = distorted_square4()
-    p = problem_data("franke")
-    t, _ = segment_rule(8)
-    exact = p.g_tangential(m, t)
-    no_grad = dataclasses.replace(p, grad_u=None, solution=None)
-    assert no_grad.grad_u is None
-    fd = no_grad.g_tangential(m, t)
-    assert exact.shape == fd.shape == (m.num_boundary_facets, len(t))
-    assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
+@pytest.mark.parametrize("missing", [
+    dict(u=None), dict(grad_u=None), dict(u=None, grad_u=None),
+    dict(f=None)])
+def test_problem_needs_its_exact_solution_and_source(missing):
+    # Dirichlet data is the trace of the exact solution: a problem with
+    # no solution, or no source, is refused
+    p = make_linear_problem()
+    parts = dict(a=p.a, grad_a=p.grad_a, f=p.f, u=p.u, grad_u=p.grad_u)
+    with pytest.raises(ValueError, match="must be given"):
+        methods.ProblemSpec("partial", "unit-square", **{**parts, **missing})
+
+
+def test_problem_parts_derive_the_joint_callables(gentle_problem):
+    # from f, u and grad_u, solution and f_and_grad_u return those parts
+    x, y = np.random.default_rng(3).random((2, 50))
+    u, gu = gentle_problem.solution(x, y)
+    f, gu2 = gentle_problem.f_and_grad_u(x, y)
+    assert np.array_equal(u, gentle_problem.u(x, y))
+    assert np.array_equal(gu, gentle_problem.grad_u(x, y))
+    assert np.array_equal(gu2, gu)
+    assert np.array_equal(f, gentle_problem.f(x, y))
 
 
 def test_verify_problem_catches_wrong_source():

@@ -3,7 +3,7 @@ import pytest
 
 from fluxweight.problems import problem_data, problem_names
 
-from conftest import verify_problem
+from conftest import make_poly_problem, verify_problem
 
 
 def test_registry_names():
@@ -12,10 +12,12 @@ def test_registry_names():
         problem_data("nope")
 
 
-@pytest.mark.parametrize("name", problem_names())
-def test_pde_consistency(name):
+@pytest.mark.parametrize("problem", [
+    *map(problem_data, problem_names()), make_poly_problem()],
+    ids=lambda p: p.name)
+def test_pde_consistency(problem):
     # finite differences confirm -div(a grad u) = f at interior points
-    assert verify_problem(problem_data(name)) <= 1e-4
+    assert verify_problem(problem) <= 1e-4
 
 
 def test_franke_landscape():
