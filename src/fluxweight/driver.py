@@ -273,6 +273,8 @@ def amr_loop(config):
         if count_dofs(nxt, config) > config.budget:
             break
         mesh = nxt
+        # the step's state is not kept through the next step
+        del state, ind, eta_T
     # the mesh past the budget is not kept through the final E1, whose
     # factor sets the run's peak memory
     del nxt
@@ -304,6 +306,8 @@ def uniform_study(config, levels, e1_levels=None):
     for lvl in range(levels):
         if lvl:
             mesh = uniform_refine(mesh, 2)
+            # the level's state is not kept through the next level
+            del state
         row, state = step(config, problem, mesh, e1=lvl < e1_levels)
         record.append(**row)
     return record, state

@@ -6,15 +6,10 @@ the higher orders back the reference solves of the dual-norm evaluator,
 which condenses out the element-interior dofs: they are numbered last,
 after the skeleton_ndof vertex and edge dofs).
 Assembly is vectorized over element blocks with a deterministic
-reduction order.  Every system matrix is one conversion to CSR, with
-int32 indices, of its local matrices (assemble_matrix): per triangle,
-and per boundary facet for the methods' boundary terms.  The P4
-reference stiffness on 10 928 triangles takes 0.052 s (one core of a
-2-core x86-64 machine) and a 66 MB traced peak, against 0.135 s and
-134 MB for per-block int64 COO lists.  The load pass sums f and |f|
-from their values at its rule (rule_values, assemble_load_sums), which
-the estimator's volume residual reads again.  The solver contract is a
-direct sparse factorization with a verified residual.
+reduction order.  The load pass sums f and |f| from their values at its
+rule (rule_values, assemble_load_sums), which the estimator's volume
+residual reads again.  The solver contract is a direct sparse
+factorization with a verified residual.
 
 Every system is factored in one elimination order, a nested dissection
 of its own mesh (dissection_order): the tree of the Morton codes of the
@@ -22,7 +17,18 @@ triangle centroids, whose cuts are mesh lines, taken in post-order, with
 each multiplier dof right after the bulk dofs of its facets'
 triangles.  SuperLU keeps that order and gets large dense supernodes;
 see solve for the fill and the factor times against reverse
-Cuthill-McKee with minimum degree.
+Cuthill-McKee with minimum degree.  The order depends on the spaces
+alone, so it is computed before assembly, and every system matrix is
+assembled once, already in it, as the CSC matrix with int32 indices
+that SuperLU factors (assemble_matrix): from its local matrices per
+triangle, and per boundary facet for the methods' boundary terms, with
+arrays of the size of its entries.  That matrix is the one copy of the
+system: solve factors it as it is.  The full P4 stiffness on the 6240
+triangles of the last franke-uniform-e1 E1 reference (1.18M entries,
+13.7 MB) takes 0.062 s and a 45.4 MB traced peak, against 0.042 s and
+37.7 MB for a CSR in the original numbering, which the factorization
+would copy twice (permuted rows, then CSC); one core of a 2-core x86-64
+machine.
 
 Every rule on a space is the space's own (FeSpace.degree).  The
 reference basis is tabulated once per (order, rule) (triangle_tables,
@@ -276,20 +282,27 @@ class BoundarySpace:
 
 
 class SparseSystem:
-    """Sparse matrix plus right-hand side with a verified symmetry flag,
-    and the order in which solve eliminates the unknowns: a permutation
-    of range(n) (dissection_order), or None for the natural order."""
+    """Sparse matrix in CSC form plus right-hand side with a verified
+    symmetry flag, and the order in which solve eliminates the unknowns:
+    a permutation of range(n) (dissection_order), or None for the
+    natural order.  The matrix is already in that order (P A P^T, see
+    assemble_matrix); the right-hand side, like the solution, is in the
+    original numbering.
+
+    The symmetry flag is checked on the stored entries: every A_ij must
+    be within 1e-12 max|A| of its mirror A_ji, which counts as 0 when it
+    is not stored.
+    """
 
     def __init__(self, matrix, rhs, symmetric=False, order=None):
-        self.matrix = matrix.tocsr()
+        self.matrix = matrix.tocsc()
+        self.matrix.sum_duplicates()
         self.rhs = np.asarray(rhs, dtype=float)
         if not np.isfinite(self.matrix.data).all():
             raise ValueError("non-finite matrix entries")
-        if symmetric:
-            scale = np.abs(self.matrix.data).max(initial=0.0)
-            skew = abs(self.matrix - self.matrix.T)
-            if skew.data.size and skew.data.max() > 1e-12 * scale:
-                raise ValueError("matrix claimed symmetric but is not")
+        if symmetric and _skew(self.matrix) > 1e-12 * np.abs(
+                self.matrix.data).max(initial=0.0):
+            raise ValueError("matrix claimed symmetric but is not")
         if order is not None:
             order = np.asarray(order)
             n = self.matrix.shape[0]
@@ -298,6 +311,28 @@ class SparseSystem:
                 raise ValueError("order is not a permutation of the unknowns")
         self.symmetric = symmetric
         self.order = order
+
+
+def _skew(A):
+    """max |A_ij - A_ji| over the stored entries of the canonical CSC
+    matrix A, a mirror that is not stored counting as 0.  A's arrays
+    read as CSR are A^T, whose conversion to CSC sorts each column, so
+    on a symmetric pattern the mirrors sit at the same positions as the
+    entries; otherwise each mirror is looked up by its key."""
+    n = A.shape[0]
+    T = sparse.csr_matrix((A.data, A.indices, A.indptr),
+                          shape=A.shape[::-1]).tocsc()
+    if (np.array_equal(T.indptr, A.indptr)
+            and np.array_equal(T.indices, A.indices)):
+        mirror = T.data
+    else:
+        def keys(M):
+            return (np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
+                    * n + M.indices)
+        key, tkey = keys(A), keys(T)
+        at = np.minimum(np.searchsorted(tkey, key), len(tkey) - 1)
+        mirror = np.where(tkey[at] == key, T.data[at], 0.0)
+    return np.abs(A.data - mirror).max(initial=0.0)
 
 
 # bit spreading for Morton codes: each step moves half of the bits of
@@ -414,28 +449,46 @@ def element_stiffness(space, a=None):
     return Ke.reshape(-1, nd, nd)
 
 
-def assemble_matrix(shape, terms):
-    """CSR matrix of the given shape that sums local matrices.
+def assemble_matrix(shape, terms, order=None):
+    """CSC matrix of the given shape that sums local matrices, its rows
+    and columns renumbered into the elimination order `order` (a
+    permutation of range(n), see dissection_order; None keeps the
+    numbering): unknown order[i] becomes row and column i, so the result
+    is P A P^T, the matrix that solve factors as it is.
 
     Each term is (row dofs (e, p), column dofs (e, q), local matrices
     (e, p, q)): entry [e, i, j] is added at (rows[e, i], cols[e, j]).
-    All entries go through one conversion with int32 indices, which
-    sums the duplicates.
+    All entries go through one conversion to CSR with int32 indices,
+    with the rows already renumbered: a row holds the entries of its
+    unknown in the input order whatever its number, so the duplicates
+    are summed as in the original numbering, to the same bits.  The
+    entries that sum to exactly zero are dropped, and the conversion to
+    CSC, with the columns renumbered, copies the rest out of the CSR's
+    buffers, which have a slot for every duplicate, into arrays of
+    their own size.
     """
+    # rank[d]: the new number of unknown d
+    rank = np.arange(shape[0], dtype=np.int32)
+    if order is not None:
+        rank[order] = rank.copy()
     total = sum(local.size for _, _, local in terms)
     rows = np.empty(total, dtype=np.int32)
     cols = np.empty(total, dtype=np.int32)
     lo = 0
     for dofs_i, dofs_j, local in terms:
         hi = lo + local.size
-        rows[lo:hi].reshape(local.shape)[:] = dofs_i[:, :, None]
+        rows[lo:hi].reshape(local.shape)[:] = rank[dofs_i][:, :, None]
         cols[lo:hi].reshape(local.shape)[:] = dofs_j[:, None, :]
         lo = hi
     if len(terms) == 1:  # the entries of a lone term are not copied
         vals = terms[0][2].ravel()
     else:
         vals = np.concatenate([local.ravel() for _, _, local in terms])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    del rows, cols, vals
+    A.eliminate_zeros()
+    return sparse.csr_matrix((A.data, rank[A.indices], A.indptr),
+                             shape=shape).tocsc()
 
 
 def assemble_stiffness(space, a=None):
@@ -501,23 +554,28 @@ def boundary_integral_vector(space):
 
 
 def solve(system):
-    """Direct solve honoring the residual contract.
+    """Direct solve honoring the residual contract: factors
+    system.matrix, which is already in the elimination order
+    system.order (P A P^T, see assemble_matrix), as it is, and returns x
+    in the original numbering.  Only vectors are permuted: b into the
+    elimination order, and the solution back out of it.
 
     Raises SolverError when the factorization fails, when the factor is
     numerically singular (min|U_ii| < 1e-12 max|U_ii|, checked on
     factors of at most PIVOT_CHECK_MAX_NNZ nonzeros; SuperLU's exactly
     singular factor has a zero pivot and is reported as such), or when
-    the residual exceeds 1e-10 * (|b| + |A|*|x|).  Every solve that
-    factors logs one INFO line; its arguments are a dict with the order
-    n and the nonzeros nnz of the system, the factor's lu_nnz, the
-    factor time factor_s, the residual-to-bound ratio res_ratio, the
-    ordering ("dissection", or "natural" when system.order is None) and
-    the pivot_ratio min|U_ii|/max|U_ii| (None when the pivot check is
-    skipped).
+    the residual, computed on the factored matrix, exceeds
+    1e-10 * (|b| + |A|*|x|).  Every solve that factors logs one INFO
+    line; its arguments are a dict with the order n and the nonzeros nnz
+    of the system, the factor's lu_nnz, input_bytes (the bytes of the
+    CSC arrays that SuperLU factors) and lu_bytes (those of lu_nnz
+    values and row indices of the same types: what reading U copies for
+    the pivot check), the factor time factor_s, the residual-to-bound
+    ratio res_ratio, the ordering ("dissection", or "natural" when
+    system.order is None) and the pivot_ratio min|U_ii|/max|U_ii| (None
+    when the pivot check is skipped).  While the pivots are read, the
+    caller's matrix is the only copy of the system.
 
-    The unknowns are eliminated in the order system.order, and the
-    system is factored once, as one permuted CSC copy, on which the
-    residual is also computed.
     SuperLU keeps the order (its NATURAL column order, which scipy runs
     in symmetric mode) and prefers diagonal pivots (threshold 0.1).  In
     the dissection order a multiplier dof follows the bulk dofs it
@@ -546,19 +604,12 @@ def solve(system):
         ordering, perm = "natural", np.arange(n)
     else:
         ordering, perm = "dissection", system.order
-    # P A P^T: gather the rows, renumber the columns; the conversion to
-    # CSC sorts them
-    inv = np.empty(n, dtype=A.indices.dtype)
-    inv[perm] = np.arange(n, dtype=inv.dtype)
-    rows = A[perm]
-    P = sparse.csr_matrix((rows.data, inv[rows.indices], rows.indptr),
-                          shape=rows.shape).tocsc()
-    del rows
+    pb = b[perm]
     t0 = time.perf_counter()
     try:
-        lu = splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1)
         factor_s = time.perf_counter() - t0
-        y = lu.solve(b[perm])
+        y = lu.solve(pb)
     except RuntimeError as exc:  # factorization breakdown
         if "exactly singular" in str(exc):
             raise SolverError(
@@ -569,21 +620,24 @@ def solve(system):
         raise SolverError("solver produced non-finite entries "
                           f"(n={n}, nnz={A.nnz})")
     # the norms do not depend on the renumbering
-    res = np.linalg.norm(P @ y - b[perm])
+    res = np.linalg.norm(A @ y - pb)
     normA = np.abs(A.data).max(initial=0.0)
     bound = 1e-10 * (np.linalg.norm(b) + normA * np.linalg.norm(y))
     # a singular factor passes the residual bound, which grows with the
-    # blown-up x; the permuted copy is released first, since reading U
-    # copies both factors
-    del P
+    # blown-up x; reading U copies both factors
     pivot_ratio = None
     if lu.nnz <= PIVOT_CHECK_MAX_NNZ:
         pivots = np.abs(lu.U.diagonal())
         pivot_ratio = pivots.min() / pivots.max()
     log.info("solve: n=%(n)d nnz(A)=%(nnz)d lu.nnz=%(lu_nnz)d "
+             "factor input %(input_bytes)d B, LU %(lu_bytes)d B, "
              "factor %(factor_s).3f s residual/bound %(res_ratio).2e "
              "ordering %(ordering)s pivot ratio %(pivot_ratio)s",
-             dict(n=n, nnz=A.nnz, lu_nnz=lu.nnz, factor_s=factor_s,
+             dict(n=n, nnz=A.nnz, lu_nnz=lu.nnz,
+                  input_bytes=(A.data.nbytes + A.indices.nbytes
+                               + A.indptr.nbytes),
+                  lu_bytes=lu.nnz * (A.data.itemsize + A.indices.itemsize),
+                  factor_s=factor_s,
                   res_ratio=res / max(bound, 1e-300), ordering=ordering,
                   pivot_ratio=pivot_ratio))
     if res > max(bound, 1e-300):

@@ -15,13 +15,14 @@ Nitsche flux and every estimator boundary term share.
 
 Every boundary term is integrated on arrays of shape (facets, rule
 points) as one local matrix per facet.  Each system matrix is one
-conversion of the element stiffness matrices and these facet matrices
-(fem.assemble_matrix), with no sparse sums or block stacking.  The
-solve's load pass also gives integral f (the sum of its load vector)
-and integral |f|; the DiscreteSolution keeps both for the compatibility
-defect and its scale, which integrates by the solve's own rules, those
-of FeSpace.degree.  The Lagrange multiplier method is the alpha = 0
-case of the Barbosa-Hughes solve.
+conversion of the element stiffness matrices and these facet matrices,
+with no sparse sums or block stacking, already in the system's
+elimination order (fem.assemble_matrix): fem.solve factors it as it
+is.  The solve's load pass also gives integral f (the sum of its load
+vector) and integral |f|; the DiscreteSolution keeps both for the
+compatibility defect and its scale, which integrates by the solve's own
+rules, those of FeSpace.degree.  The Lagrange multiplier method is the
+alpha = 0 case of the Barbosa-Hughes solve.
 
 The Dirichlet data enters weakly everywhere: nothing is interpolated
 nodally.  The `sign` argument selects the symmetric (-1) or the
@@ -284,11 +285,12 @@ def _solve_multiplier(method, problem, mesh, k, kprime, continuous,
         terms += [(dofs, dofs, alpha * sign * _pair(adn, adn, hw)),
                   (mdofs, mdofs, -alpha * _pair(mvals, mvals, hw))]
     terms += [(dofs, mdofs, top), (mdofs, dofs, bottom.transpose(0, 2, 1))]
-    K = fem.assemble_matrix((nb + nm, nb + nm), terms)
+    order = fem.dissection_order(space, bspace)
+    K = fem.assemble_matrix((nb + nm, nb + nm), terms, order)
     G = fem.facet_vector(nm, bspace.facet_dofs, mvals, gv * lenw)
     x = fem.solve(SparseSystem(K, np.concatenate([F, -G]),
                                symmetric=alpha == 0 or sign == -1,
-                               order=fem.dissection_order(space, bspace)))
+                               order=order))
     return DiscreteSolution(method, problem, space, x[:nb],
                             multiplier_space=bspace, multiplier=x[nb:],
                             alpha=alpha if alpha > 0 else None, **loads)
@@ -329,12 +331,13 @@ def solve_nitsche(problem, mesh, k=1, gamma=10.0, sign=1):
     N1 = _pair(vals, adn, lenw)     # v * a dn(u)
     boundary = (sign * N1.transpose(0, 2, 1) - N1
                 + _pair(vals, vals, lenw * gamma / hF))
+    order = fem.dissection_order(space)
     K = fem.assemble_matrix((n, n), [(space.tri_dofs, space.tri_dofs, Ke),
-                                     (dofs, dofs, boundary)])
+                                     (dofs, dofs, boundary)], order)
     # the data g enters against sign * a dn(v) + gamma/h_F v
     rhs = F + fem.facet_vector(n, dofs, sign * adn + gamma / hF[..., None]
                                * vals, gv * lenw)
-    x = fem.solve(SparseSystem(K, rhs, order=fem.dissection_order(space)))
+    x = fem.solve(SparseSystem(K, rhs, order=order))
     return DiscreteSolution(NITSCHE, problem, space, x, gamma=gamma,
                             **loads)
 

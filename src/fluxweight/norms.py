@@ -7,12 +7,14 @@ facet of that mesh with one facet rule, so the facets must refine the
 residual's pieces.  The load lives on the boundary, where the
 element-interior basis functions vanish, so those unknowns are
 condensed out before assembly and only the vertex and edge unknowns
-reach the factorization.  The load is projected to mean zero and one
-unknown is pinned, which fixes the additive constant of the lifting
-without changing its energy.  E2 expands cell averages of the residual
-on a dyadic boundary grid in a periodic (2,2)-biorthogonal wavelet
-basis and takes the weighted coefficient norm; the two are equivalent
-norms on the dual trace space.
+reach the factorization.  Their elimination order is computed first and
+the condensed matrix assembled in it, so the factorization reads the
+one CSC copy of the system that E1 holds (fem.assemble_matrix).  The
+load is projected to mean zero and one unknown is pinned, which fixes
+the additive constant of the lifting without changing its energy.  E2
+expands cell averages of the residual on a dyadic boundary grid in a
+periodic (2,2)-biorthogonal wavelet basis and takes the weighted
+coefficient norm; the two are equivalent norms on the dual trace space.
 
 E2 of a flux error samples 2^M dyadic cells with the 3-point Gauss rule
 (exact to degree 5).  The first E2 of a problem instance caches, under
@@ -455,10 +457,12 @@ def wavelet_norm(v, M=20):
     return wavelet_norm_of_vector(sample_to_dyadic(v, M))
 
 
-def _condensed_stiffness(space):
+def _condensed_stiffness(space, order):
     """Stiffness matrix (coefficient 1) on the vertex and edge unknowns
     of space, the first space.skeleton_ndof, with the element-interior
-    unknowns eliminated triangle by triangle (static condensation).
+    unknowns eliminated triangle by triangle (static condensation), in
+    the elimination order `order` of those unknowns (see
+    fem.assemble_matrix).
 
     Each element matrix [[K_ss, K_sb], [K_bs, K_bb]], s its vertex and
     edge dofs and b its interior ones, becomes its Schur complement
@@ -474,17 +478,20 @@ def _condensed_stiffness(space):
     del Ke, Ksb  # the full element matrices go before the conversion
     td = space.tri_dofs[:, :ns]
     n = space.skeleton_ndof
-    return fem.assemble_matrix((n, n), [(td, td, S)])
+    return fem.assemble_matrix((n, n), [(td, td, S)], order)
 
 
-def _pin(A, b, p):
-    """Make row and column p of the CSR matrix A the identity's and
-    b[p] = 0, in place.  For a singular A whose kernel is the constants
-    and a load b of zero sum, the solution is the one with x[p] = 0."""
-    A.data[A.indptr[p]:A.indptr[p + 1]] = 0.0
+def _pin(A, b, order):
+    """Pin the unknown eliminated last, order[-1]: make the last row and
+    column of the CSC matrix A, which is in the elimination order, the
+    identity's, and b[order[-1]] = 0 (b in the original numbering), in
+    place.  For a singular A whose kernel is the constants and a load b
+    of zero sum, the solution is the one with x[order[-1]] = 0."""
+    p = A.shape[0] - 1
+    A.data[A.indptr[p]:] = 0.0
     A.data[A.indices == p] = 0.0
     A[p, p] = 1.0
-    b[p] = 0.0
+    b[order[-1]] = 0.0
 
 
 def neumann_dual_error(delta, fine_mesh, order):
@@ -501,24 +508,27 @@ def neumann_dual_error(delta, fine_mesh, order):
     (_condensed_stiffness): their basis functions vanish on the
     boundary, so the load does not see them, and the energy of w is
     that of its vertex and edge part under the condensed matrix.  The
-    stiffness, b and c use the space's rules, exact for A and c.  The
-    duality pairing <delta, w> with the projected load is checked
-    against the energy (they must agree within 1%).  Logs one INFO
-    line: the order, the triangles, the unknowns kept and eliminated,
-    and the relative energy/pairing gap.  The facets of fine_mesh must
-    refine delta's pieces.
+    order is computed first, so the condensed matrix is assembled in it,
+    as the one CSC matrix that fem.solve factors; the energy is read on
+    it too.  The stiffness, b and c use the space's rules, exact for A
+    and c.  The duality pairing <delta, w> with the projected load is
+    checked against the energy (they must agree within 1%).  Logs one
+    INFO line: the order, the triangles, the unknowns kept and
+    eliminated, and the relative energy/pairing gap.  The facets of
+    fine_mesh must refine delta's pieces.
     """
     space = FeSpace(fine_mesh, order)
     n = space.skeleton_ndof
-    A = _condensed_stiffness(space)
+    perm = fem.dissection_order(space)
+    perm = perm[perm < n]
+    A = _condensed_stiffness(space, perm)
     b = boundary_dual_load(space, delta)[:n]
     c = fem.boundary_integral_vector(space)[:n]
     b -= b.sum() / c.sum() * c
-    perm = fem.dissection_order(space)
-    perm = perm[perm < n]
-    _pin(A, b, perm[-1])
+    _pin(A, b, perm)
     x = fem.solve(SparseSystem(A, b, symmetric=True, order=perm))
-    energy = float(x @ (A @ x))
+    y = x[perm]
+    energy = float(y @ (A @ y))
     e1 = math.sqrt(max(energy, 0.0))
     pairing = float(b @ x)
     gap = abs(pairing - energy) / energy if e1 > 0 else 0.0

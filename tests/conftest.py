@@ -312,13 +312,30 @@ def minimum_degree_lu_nnz(A):
     return splu(A[perm][:, perm].tocsc(), permc_spec=spec, **opts).nnz
 
 
+def original_numbering(A, order):
+    """A matrix in the elimination order `order` (P A P^T, as
+    fem.assemble_matrix builds it) back in the original numbering."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return A[rank][:, rank]
+
+
+def ordered_stiffness(space, order):
+    """The stiffness matrix (coefficient 1) of space in the elimination
+    order `order`, as fem.assemble_matrix builds the systems."""
+    td = space.tri_dofs
+    return fem.assemble_matrix((space.ndof, space.ndof),
+                               [(td, td, fem.element_stiffness(space))],
+                               order)
+
+
 def pinned_stiffness(space):
-    """The full stiffness matrix of space with the last unknown of its
-    dissection order pinned as norms.neumann_dual_error pins it, and
-    that order."""
-    A = fem.assemble_stiffness(space)
+    """The full stiffness matrix of space in its dissection order, with
+    the last unknown of that order pinned as norms.neumann_dual_error
+    pins it, and that order."""
     order = fem.dissection_order(space)
-    norms._pin(A, np.zeros(space.ndof), order[-1])
+    A = ordered_stiffness(space, order)
+    norms._pin(A, np.zeros(space.ndof), order)
     return A, order
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,30 @@ def test_amr_last_row_seconds_include_final_e1(monkeypatch):
     rec, _ = driver.amr_loop(cfg)
     assert rec.E1[-1] == 0.0
     assert rec.seconds[-1] >= 0.2
+
+
+@pytest.mark.parametrize("study", ["amr", "uniform"])
+def test_step_state_is_released_before_the_next_step(study, monkeypatch):
+    # no solution of an earlier step is alive when a step starts, so a
+    # step's E1 does not sit on top of two steps' meshes and solutions
+    step, solutions, alive = driver.step, [], []
+
+    def watched(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in solutions))
+        row, state = step(*args, **kwargs)
+        solutions.append(weakref.ref(state[1]))
+        return row, state
+
+    monkeypatch.setattr(driver, "step", watched)
+    monkeypatch.setattr(driver, "_e1_of", lambda delta, config, mesh: 0.0)
+    cfg = AmrConfig(problem="franke", method="nitsche", k=1, budget=100,
+                    wavelet_level=10)
+    if study == "amr":
+        driver.amr_loop(cfg)
+    else:
+        driver.uniform_study(cfg, 3)
+    assert len(alive) >= 3 and not any(alive), alive
 
 
 def test_e1_rejects_a_flux_that_does_not_conserve():

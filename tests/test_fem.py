@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from fluxweight import fem, norms
+from fluxweight import fem, methods, norms
 from fluxweight.elements import reference_element
 from fluxweight.mesh import (boundary_band, build_lshape, build_unit_square,
                              uniform_refine)
@@ -14,6 +15,7 @@ from fluxweight.quadrature import segment_rule, triangle_rule
 
 from conftest import (coo_stiffness, distorted_square4, eval_cells,
                       facet_point_basis, interpolate, minimum_degree_lu_nnz,
+                      ordered_stiffness, original_numbering,
                       pinned_stiffness, plain_load, uncondensed_dual_error)
 
 
@@ -269,18 +271,26 @@ def test_exactly_singular_factor_reported_singular():
 
 def test_solve_statistics(caplog, monkeypatch, square4):
     sp = fem.FeSpace(square4, 2)
-    A = fem.assemble_stiffness(sp) + sparse.eye(sp.ndof)
+    order = fem.dissection_order(sp)
+    eye = sparse.eye(sp.ndof)
+    A = ordered_stiffness(sp, order) + eye
     with caplog.at_level("INFO", logger="fluxweight.fem"):
-        fem.solve(fem.SparseSystem(A, np.ones(sp.ndof),
-                                   order=fem.dissection_order(sp)))
+        fem.solve(fem.SparseSystem(A, np.ones(sp.ndof), order=order))
         monkeypatch.setattr(fem, "PIVOT_CHECK_MAX_NNZ", 0)
-        fem.solve(fem.SparseSystem(A, np.ones(sp.ndof)))
+        fem.solve(fem.SparseSystem(fem.assemble_stiffness(sp) + eye,
+                                   np.ones(sp.ndof)))
     checked, skipped = [r.args for r in caplog.records
                         if r.name == "fluxweight.fem"]
+    assert set(checked) == {"n", "nnz", "lu_nnz", "input_bytes", "lu_bytes",
+                            "factor_s", "res_ratio", "ordering",
+                            "pivot_ratio"}
     assert checked["ordering"] == "dissection"
     assert skipped["ordering"] == "natural"
     assert 0.0 < checked["pivot_ratio"] <= 1.0
     assert skipped["pivot_ratio"] is None
+    # CSC arrays of int32 indices and float64 values
+    assert checked["input_bytes"] == 12 * checked["nnz"] + 4 * (sp.ndof + 1)
+    assert checked["lu_bytes"] == 12 * checked["lu_nnz"]
 
 
 def test_solve_order_must_be_a_permutation():
@@ -323,9 +333,23 @@ def test_dissection_separator_last():
 
 
 def test_symmetry_flag_verified():
-    A = sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        fem.SparseSystem(A, np.zeros(2), symmetric=True)
+    # |A_ij - A_ji| <= 1e-12 max|A| on every stored entry
+    for entries, symmetric in [
+            # a mirror that is not stored counts as 0
+            ([[1.0, 2.0], [0.0, 1.0]], False),
+            ([[1.0, 1e-13], [0.0, 1.0]], True),
+            # a symmetric pattern with asymmetric values
+            ([[1.0, 2.0], [3.0, 1.0]], False),
+            ([[1.0, 2.0], [2.0 + 1e-12, 1.0]], True),
+            ([[4.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0 + 5e-12, 4.0]],
+             False)]:
+        A = sparse.csc_matrix(np.array(entries))
+        b = np.zeros(len(entries))
+        if symmetric:
+            assert fem.SparseSystem(A, b, symmetric=True).symmetric
+        else:
+            with pytest.raises(ValueError, match="claimed symmetric"):
+                fem.SparseSystem(A, b, symmetric=True)
 
 
 def test_pure_neumann_constrained_solve(square4):
@@ -342,6 +366,34 @@ def test_pure_neumann_constrained_solve(square4):
         assert b.sum() >= 0.5 * np.abs(b).sum()
         assert norms.neumann_dual_error(delta, square4, order) \
             == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["nitsche", "lagrange", "e1"])
+def test_elimination_order_solve_matches_natural_order(kind, monkeypatch):
+    # the systems arrive assembled in their elimination order and solve
+    # to x in the original numbering: the same x, within 1e-12, as the
+    # matrix taken back to that numbering and factored by SuperLU with
+    # its own column ordering and partial pivoting
+    mesh = distorted_square4()
+    problem = problem_data("franke")
+    seen = []
+    solve = fem.solve
+    monkeypatch.setattr(fem, "solve", lambda system: seen.append(
+        (system, solve(system))) or seen[-1][1])
+    if kind == "nitsche":
+        methods.solve_nitsche(problem, mesh, k=2)
+    elif kind == "lagrange":
+        methods.solve_lagrange(problem, mesh, k=2, kprime=0)
+    else:
+        delta = norms.flux_error_function(methods.solve_nitsche(
+            problem, mesh, k=1))
+        seen.clear()
+        norms.neumann_dual_error(delta, boundary_band(mesh), 4)
+    ((system, x),) = seen
+    assert system.order is not None
+    natural = splu(original_numbering(system.matrix, system.order).tocsc()
+                   ).solve(system.rhs)
+    assert np.abs(x - natural).max() <= 1e-12 * np.abs(natural).max()
 
 
 @pytest.mark.parametrize("reference", ["uniform", "band"])
@@ -367,7 +419,8 @@ def test_reference_solve_fill_bounded(reference, caplog):
         assert stats["ordering"] == "dissection"
         assert stats["res_ratio"] <= 1.0
         assert stats["lu_nnz"] <= 5 * stats["nnz"], stats
-        assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(A), stats
+        assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(
+            original_numbering(A, perm)), stats
 
 
 def test_interpolation_reproduces_polynomials(square4):

@@ -12,7 +12,7 @@ from conftest import (assemble_grad_load, bulk_trace, coo_stiffness,
                       facet_point_basis, facet_point_pair, interpolate,
                       make_linear_problem, make_poly_problem,
                       minimum_degree_lu_nnz, multiplier_values,
-                      verify_problem)
+                      original_numbering, verify_problem)
 
 
 def exact_flux_on_facets(problem, mesh, t=0.5):
@@ -327,11 +327,11 @@ def reference_system(method, problem, mesh, k, kprime=0, continuous=False,
 def test_system_matrix_matches_separate_terms(method, kw, gentle_problem,
                                               monkeypatch):
     # one conversion of every local matrix gives the sum of the
-    # separately assembled terms
+    # separately assembled terms, in the elimination order
     mesh = distorted_square4()
     seen = []
     monkeypatch.setattr(fem, "solve", lambda system: seen.append(
-        system.matrix) or np.zeros(len(system.rhs)))
+        system) or np.zeros(len(system.rhs)))
     config = dict(kw, **({"gamma": 10.0} if method == methods.NITSCHE
                          else {}))
     if method == methods.NITSCHE:
@@ -340,10 +340,14 @@ def test_system_matrix_matches_separate_terms(method, kw, gentle_problem,
         methods.solve_lagrange(gentle_problem, mesh, **config)
     else:
         methods.solve_barbosa_hughes(gentle_problem, mesh, **config)
-    (K,) = seen
+    (system,) = seen
+    K, order = system.matrix, system.order
     ref = reference_system(method, gentle_problem, mesh, **kw).toarray()
-    assert K.indices.dtype == np.int32
+    ref = ref[order][:, order]
+    assert K.format == "csc" and K.indices.dtype == np.int32
     assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+    # entries that sum to exactly zero are not stored
+    assert (K.data != 0).all()
 
 
 def test_saddle_solve_fill_guard(caplog, monkeypatch):
@@ -351,14 +355,16 @@ def test_saddle_solve_fill_guard(caplog, monkeypatch):
     # 0.74 of reverse Cuthill-McKee with minimum degree on A^T A
     solve, seen = fem.solve, []
     monkeypatch.setattr(fem, "solve", lambda system: seen.append(
-        system.matrix) or solve(system))
+        system) or solve(system))
     with caplog.at_level("INFO", logger="fluxweight.fem"):
         methods.solve_lagrange(problem_data("varcoef-peak"),
                                build_unit_square(64), k=2, kprime=0)
     (stats,) = [r.args for r in caplog.records if r.name == "fluxweight.fem"]
+    (system,) = seen
     assert stats["ordering"] == "dissection"
     assert stats["lu_nnz"] <= 12 * stats["nnz"], stats
-    assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(seen[0]), stats
+    assert stats["lu_nnz"] <= 1.05 * minimum_degree_lu_nnz(
+        original_numbering(system.matrix, system.order)), stats
 
 
 @pytest.mark.parametrize("kprime,continuous", [(0, False), (2, True)])
@@ -384,6 +390,10 @@ def test_multiplier_dofs_follow_their_bulk_dofs(kprime, continuous,
     np.maximum.at(last, fd, np.broadcast_to(bulk_last[:, None], fd.shape))
     bulk_seen = np.cumsum(system.order < nb)
     assert np.array_equal(bulk_seen[position[nb:]], bulk_seen[last])
+    # the matrix is in that order: its zero diagonal, the multiplier
+    # block's, sits at the positions of the multiplier dofs
+    assert np.array_equal(np.flatnonzero(system.matrix.diagonal() == 0),
+                          np.sort(position[nb:]))
 
 
 @pytest.mark.parametrize("method", ["nitsche", "lagrange", "barbosa-hughes"])
