@@ -108,28 +108,41 @@ def compute_residuals(solution):
 def _volume_residual(solution, fv, guv):
     """r1T per triangle and the energy error |u - u_h|_1, from one pass
     over the space's triangle rule with one grad u_h per block, with
-    the values fv of f and guv of grad u at that rule."""
+    the values fv of f and guv of grad u at that rule.
+
+    A P1 gradient and a P2 Hessian are the same at every point of a
+    triangle, so one row of their table serves all the rule's points
+    and the result broadcasts over them; the P1 Hessian is zero and its
+    term is left out.  The sums are those of the per-point evaluation,
+    bit for bit.
+    """
     space, problem = solution.space, solution.problem
     mesh = space.mesh
     qp, qw = triangle_rule(space.degree)
     _, gref, href = fem.triangle_tables(space.order, space.degree)
+    if space.order == 1:
+        gref = gref[:1]
+    if space.order == 2:
+        href = href[:1]
     invJT_all, det_all = mesh.jacobians()
     out = np.empty(mesh.num_triangles)
     energy = 0.0
     for blk in fem._blocks(mesh.num_triangles):
         invJT, det = invJT_all[blk], det_all[blk]
-        Minv = invJT.transpose(0, 2, 1) @ invJT
         co = solution.coeffs[space.tri_dofs[blk]]
-        hu = fem.contract(co, href)          # reference (xx, xy, yy)
-        lap_u = (Minv[:, None, 0, 0] * hu[..., 0]
-                 + 2.0 * Minv[:, None, 0, 1] * hu[..., 1]
-                 + Minv[:, None, 1, 1] * hu[..., 2])
         grad_u = fem.physical_gradients(co, gref, invJT)
         pts = mesh.triangle_points(blk, qp)
         x, y = pts[..., 0], pts[..., 1]
         ga = problem.grad_a(x, y)
-        res = (fv[blk] + problem.a(x, y) * lap_u
-               + ga[..., 0] * grad_u[..., 0] + ga[..., 1] * grad_u[..., 1])
+        res = fv[blk]
+        if space.order > 1:
+            Minv = invJT.transpose(0, 2, 1) @ invJT
+            hu = fem.contract(co, href)          # reference (xx, xy, yy)
+            lap_u = (Minv[:, None, 0, 0] * hu[..., 0]
+                     + 2.0 * Minv[:, None, 0, 1] * hu[..., 1]
+                     + Minv[:, None, 1, 1] * hu[..., 2])
+            res = res + problem.a(x, y) * lap_u
+        res = res + ga[..., 0] * grad_u[..., 0] + ga[..., 1] * grad_u[..., 1]
         out[blk] = np.sqrt((res * res) @ qw * det)
         diff = guv[blk] - grad_u
         energy += ((diff * diff).sum(axis=-1) @ qw) @ det
@@ -143,7 +156,10 @@ def _flux_jumps(solution):
     edge of each neighbor, run in one of two directions, so the basis
     gradients are tabulated once per (local edge, direction), and each
     side's coefficients meet all six tables in one matrix product per
-    block of edges, of which every edge keeps its own.
+    block of edges, of which every edge keeps its own.  A P1 gradient
+    is constant on each side, so for order 1 the normal derivatives are
+    evaluated at the rule's first point only and the jump broadcasts
+    along the edge.
     """
     space, problem = solution.space, solution.problem
     mesh = space.mesh
@@ -157,12 +173,13 @@ def _flux_jumps(solution):
     pts = P[:, None, :] + t[None, :, None] * (Q - P)[:, None, :]
     L = mesh.edge_length[edges]
     nrm = np.stack([(Q - P)[:, 1], -(Q - P)[:, 0]], axis=-1) / L[:, None]
+    tj = t[:1] if space.order == 1 else t
     # the gradient tables of the local edges run forward, then backward:
     # rows (le + 3 * backward) * nq + q, (6 nq, nd, 2)
     tables = np.concatenate([fem.edge_tables(space.order, tuple(s))[1]
-                             for s in (t, 1.0 - t)]).reshape(
-                                 6 * len(t), -1, 2)
-    jump = np.zeros((len(edges), len(t)))
+                             for s in (tj, 1.0 - tj)]).reshape(
+                                 6 * len(tj), -1, 2)
+    jump = np.zeros((len(edges), len(tj)))
     for blk in fem._blocks(len(edges)):
         e = edges[blk]
         for side, sgn in ((0, 1.0), (1, -1.0)):
@@ -171,7 +188,7 @@ def _flux_jumps(solution):
             backward = mesh.triangles[tri, (le + 1) % 3] != ev[blk, 0]
             invJT, _ = mesh.jacobians(tri)
             co = solution.coeffs[space.tri_dofs[tri]]
-            ref = fem.contract(co, tables).reshape(len(e), 6, len(t), 2)[
+            ref = fem.contract(co, tables).reshape(len(e), 6, len(tj), 2)[
                 np.arange(len(e)), le + 3 * backward]
             gu = fem.map_gradients(ref, invJT)
             jump[blk] += sgn * (gu[..., 0] * nrm[blk, None, 0]

@@ -2,9 +2,10 @@
 
 A manifest is a JSON object with method/estimator parameters and a list
 of studies; each study may override any parameter.  A key that neither
-the manifest nor its study knows, two studies of one name, or a value
-that a study's AmrConfig refuses stop the run before any study starts
-and before the output directory is made.  The runner writes
+the manifest nor its study knows, two studies of one name, a value
+that a study's AmrConfig refuses, or a study that would make no row
+stop the run before any study starts and before the output directory
+is made.  The runner writes
 per-study directories with the convergence record CSV, derived rate
 tables, self-contained SVG log-log plots, and optional mesh (a weight
 demo's at every step), indicator and pyramid dumps, then evaluates the
@@ -41,6 +42,10 @@ _STUDY_KEYS = {"name", "type", "levels", "e1_levels", "h_list", "steps"}
 _STUDY_TYPES = {"uniform", "amr", "graded", "amr_comparison", "weight_demo"}
 _ASSERTION_KINDS = {"rows", "rate_last", "ratio_band", "slope_max",
                     "final_factor"}
+# the levels of a uniform study and the steps of a weight demo that
+# name none
+_LEVELS = 4
+_STEPS = 7
 
 
 def config_from(manifest, overrides=None):
@@ -98,8 +103,10 @@ def check_manifest(manifest):
     """Raise ValueError at a key that neither the manifest nor a study
     knows, at a study type that run_study does not know, at two studies
     of one name, at a value that a study's AmrConfig refuses
-    (config_from), or at an assertion of an unknown kind or one that
-    refers to no study of the manifest."""
+    (config_from), at a study that would make no row (a uniform study
+    of no levels, a graded one of no h) or counts below zero (steps,
+    or e1_levels outside [0, levels]), or at an assertion of an unknown
+    kind or one that refers to no study of the manifest."""
     unknown = sorted(set(manifest) - set(_CONFIG_KEYS)
                      - {"studies", "assertions"})
     if unknown:
@@ -116,6 +123,7 @@ def check_manifest(manifest):
             raise ValueError(f"two studies named {name!r}")
         names.add(name)
         config_from(manifest, study)
+        _check_counts(study, name)
     for spec in manifest.get("assertions", []):
         if spec.get("check") not in _ASSERTION_KINDS:
             raise ValueError(f"unknown assertion {spec.get('check')!r}")
@@ -123,6 +131,26 @@ def check_manifest(manifest):
             if key in spec and str(spec[key]).split(":")[0] not in names:
                 raise ValueError(f"assertion {spec['check']!r} names no "
                                  f"study {spec[key]!r}")
+
+
+def _check_counts(study, name):
+    """Raise ValueError at a study of check_manifest's refused counts."""
+    kind = study["type"]
+    if kind == "uniform":
+        levels = study.get("levels", _LEVELS)
+        if levels < 1:
+            raise ValueError(f"study {name!r}: levels must be at least 1, "
+                             f"got {levels}")
+        e1 = study.get("e1_levels")
+        if e1 is not None and not 0 <= e1 <= levels:
+            raise ValueError(f"study {name!r}: e1_levels must lie in "
+                             f"[0, {levels}], got {e1}")
+    if kind == "graded" and not study.get("h_list"):
+        raise ValueError(f"study {name!r}: a graded study needs a "
+                         "non-empty h_list")
+    if kind == "weight_demo" and study.get("steps", _STEPS) < 0:
+        raise ValueError(f"study {name!r}: steps must be at least 0, got "
+                         f"{study['steps']}")
 
 
 def run_study(study, manifest, out_dir, dumps):
@@ -137,7 +165,8 @@ def run_study(study, manifest, out_dir, dumps):
 
     if kind == "uniform":
         rec, state = driver.uniform_study(
-            cfg, study.get("levels", 4), e1_levels=study.get("e1_levels"))
+            cfg, study.get("levels", _LEVELS),
+            e1_levels=study.get("e1_levels"))
         records["uniform"] = rec
         _write_uniform_table(rec, sdir / "table.csv")
     elif kind == "amr":
@@ -152,7 +181,7 @@ def run_study(study, manifest, out_dir, dumps):
         if study.get("h_list"):
             records["graded"], _ = driver.graded_study(cfg, study["h_list"])
     elif kind == "weight_demo":
-        meshes = driver.weight_demo(cfg, study.get("steps", 7))
+        meshes = driver.weight_demo(cfg, study.get("steps", _STEPS))
         write_weight_summary(meshes, sdir / "summary.csv")
         if dumps.get("mesh"):
             for i, msh in enumerate(meshes):

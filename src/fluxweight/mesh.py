@@ -3,9 +3,9 @@
 Each domain is one corner loop, counterclockwise from a fixed anchor
 corner (unit square: (0, 0); L-shape: (-1, -1)), and everything else
 derives from it: the structured initial mesh (build_domain_mesh), the
-arc-length chart and the distance to the boundary (project_to_boundary)
-and the boundary points and normals at given arc lengths (boundary_at,
-which E2 samples), all reading one side table (polygon_sides).
+arc-length chart and the distance to the boundary (project_to_boundary),
+and E2's boundary data, which norms builds side by side, all reading
+one side table (polygon_sides).
 
 Triangles store their vertices counterclockwise with the *peak* vertex
 first: the refinement edge of triangle (v0, v1, v2) is (v1, v2), the
@@ -71,20 +71,6 @@ def project_to_boundary(polygon, pts):
         s[better] = c + t[better] * L
         np.minimum(dist, d, out=dist)
     return np.mod(s, cum[-1]), dist
-
-
-def boundary_at(polygon, s):
-    """Points (x, y) and outward unit normals (nx, ny) at the arc
-    lengths s in [0, perimeter); a corner belongs to the side it
-    starts."""
-    vec, length, cum = polygon_sides(polygon)
-    k = np.zeros(np.shape(s), dtype=np.intp)
-    for c in cum[1:-1]:
-        k += s >= c
-    t = (s - cum.take(k)) / length.take(k)
-    return (polygon[:, 0].take(k) + t * vec[:, 0].take(k),
-            polygon[:, 1].take(k) + t * vec[:, 1].take(k),
-            (vec[:, 1] / length).take(k), (-vec[:, 0] / length).take(k))
 
 
 def distance_to_boundary(domain, pts):
@@ -468,7 +454,8 @@ def shape_regularity(mesh):
 
 
 def check_mesh(mesh, tol=1e-12):
-    """Validate the structural invariants; raises AssertionError on failure."""
+    """Validate the structural invariants; raises AssertionError on
+    failure.  A check for the tests: no study calls it."""
     counts = (mesh.edge_tris >= 0).sum(axis=1)
     assert set(np.unique(counts)) <= {1, 2}, "facet incidence broken"
     assert (mesh.signed_area > 0).all(), "non-positive triangle area"

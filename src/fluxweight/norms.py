@@ -50,7 +50,7 @@ import numpy as np
 
 from . import fem
 from .fem import FeSpace, SparseSystem
-from .mesh import boundary_at, polygon_sides
+from .mesh import polygon_sides
 from .quadrature import segment_rule
 
 # analysis low-pass filter of the (2,2)-biorthogonal wavelet; the taps
@@ -155,6 +155,7 @@ def _integrate_pieces(v, left, right, owner, out, gp, gw):
 
 
 _CHUNK = 1 << 12
+_CELL_BLOCK = 1 << 14
 
 
 def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
@@ -167,43 +168,51 @@ def _dyadic_boundary_data(problem, polygon, M, gp, gw, with_data):
     solution u, and "a" the value of a if it is the same at every point,
     else an array of its values of shape (len(gp), 2^M).  Kept in
     problem.dyadic_cache under (polygon, M, with_data), computed once,
-    in chunks of cells: the points, normals and data of every rule point
-    of a chunk in one pass, with lam and g from one evaluation of u and
-    grad u (ProblemSpec.boundary_values).  A cell that a corner
-    cuts gets values from the side of each point; sample_to_dyadic never
-    reads them, since corners are facet ends.
+    side by side (polygon_sides) in chunks of cells: the points and data
+    of every rule point of a chunk in one pass, with lam and g from one
+    evaluation of u and grad u (ProblemSpec.boundary_values).  The
+    side's normal, and a coordinate that does not vary along it, go to
+    the problem's callables as scalars.  A cell belongs to the side its
+    start lies on; with the corners at cell ends (perimeter 4 or 8 and
+    M >= 3), no cell crosses a corner.
     """
     key = (polygon.tobytes(), M, with_data)
     if key in problem.dyadic_cache:
         return problem.dyadic_cache[key]
     n = 1 << M
-    total = polygon_sides(polygon)[2][-1]
+    vec, length, cum = polygon_sides(polygon)
+    total = cum[-1]
+    first = np.ceil(cum / (total / n)).astype(np.int64)
     lam = np.zeros(n)
     g = np.zeros(n) if with_data else None
     a0 = a_pts = None
-    for lo in range(0, n, _CHUNK):
-        starts = total * np.arange(lo, min(lo + _CHUNK, n)) / n
-        cells = slice(lo, lo + len(starts))
-        # every rule point of the chunk's cells, row q for the rule's
-        # point q
-        s = starts + (total / n) * gp[:, None]
-        x, y, nx, ny = boundary_at(polygon, s.ravel())
-        if with_data:
-            lam_q, g_q = problem.boundary_values(x, y, nx, ny)
-        else:
-            lam_q = problem.exact_flux(x, y, nx, ny)
-        for q, w in enumerate(gw):
-            lam[cells] += w * lam_q.reshape(s.shape)[q]
+    for corner, side, L, c, lo_side, hi_side in zip(
+            polygon, vec, length, cum, first[:-1], first[1:]):
+        nx, ny = side[1] / L, -side[0] / L
+        for lo in range(lo_side, hi_side, _CHUNK):
+            cells = slice(lo, min(lo + _CHUNK, hi_side))
+            starts = total * np.arange(cells.start, cells.stop) / n
+            # every rule point of the chunk's cells, row q for the
+            # rule's point q
+            t = (starts + (total / n) * gp[:, None] - c) / L
+            x, y = (p0 + t * d if d != 0.0 else p0
+                    for p0, d in zip(corner, side))
             if with_data:
-                g[cells] += w * g_q.reshape(s.shape)[q]
-        if with_data:
-            av = np.broadcast_to(problem.a(x, y), x.shape).reshape(s.shape)
-            if a0 is None:
-                a0 = float(av[0, 0])
-            if a_pts is None and (av != a0).any():
-                a_pts = np.full((len(gp), n), a0)
-            if a_pts is not None:
-                a_pts[:, cells] = av
+                lam_q, g_q = problem.boundary_values(x, y, nx, ny)
+            else:
+                lam_q = problem.exact_flux(x, y, nx, ny)
+            for q, w in enumerate(gw):
+                lam[cells] += w * lam_q[q]
+                if with_data:
+                    g[cells] += w * g_q[q]
+            if with_data:
+                av = np.broadcast_to(problem.a(x, y), t.shape)
+                if a0 is None:
+                    a0 = float(av[0, 0])
+                if a_pts is None and (av != a0).any():
+                    a_pts = np.full((len(gp), n), a0)
+                if a_pts is not None:
+                    a_pts[:, cells] = av
     data = {"lam": lam}
     if with_data:
         data["g"] = g
@@ -251,7 +260,10 @@ def _flux_error_cells(solution, M, gp, gw):
     first one sits at t = t0_fq + beta_f j, so the Gauss-weighted sum
     of a per-facet polynomial is one polynomial in j per facet.  The
     cached sums of the exact flux and g complete the cell integral; a
-    only enters per point where it varies.
+    only enters per point where it varies.  The cells go in blocks of
+    _CELL_BLOCK, so that the result is the one array of 2^M doubles:
+    the temporaries have the size of a block and are reused from block
+    to block, where whole arrays would be new memory at every step.
     """
     mesh = solution.mesh
     flux = solution.flux
@@ -260,9 +272,7 @@ def _flux_error_cells(solution, M, gp, gw):
     n = 1 << M
     width = mesh.perimeter / n
     first = _first_cells(mesh, n)
-    count = np.diff(np.append(first, n))
-    j = np.arange(n, dtype=float)
-    j -= np.repeat(first, count)
+    end = np.append(first[1:], n)
     beta = width / mesh.bf_len
     t0 = [((first + p) * width - mesh.bf_s0) / mesh.bf_len for p in gp]
     a = data.get("a")
@@ -272,18 +282,29 @@ def _flux_error_cells(solution, M, gp, gw):
     else:
         poly = a * flux.d + flux.q
     coef = sum(w * _local_index_poly(poly, t, beta) for w, t in zip(gw, t0))
-    acc = _expand(coef, count, j)
-    np.subtract(data["lam"], acc, out=acc)
-    if flux.d is not None:
-        cg = np.repeat(flux.c, count)
-        cg *= data["g"]
-        acc -= cg
     if per_point:
-        for q in range(len(gp)):
-            d = _expand(_local_index_poly(flux.d, t0[q], beta), count, j)
-            d *= a[q]
-            d *= gw[q]
-            acc -= d
+        dcoef = [_local_index_poly(flux.d, t, beta) for t in t0]
+    acc = np.empty(n)
+    for lo in range(0, n, _CELL_BLOCK):
+        hi = min(lo + _CELL_BLOCK, n)
+        # the facets with cells in the block, and their cells there
+        f = slice(np.searchsorted(end, lo, side="right"),
+                  np.searchsorted(first, hi))
+        count = np.minimum(end[f], hi) - np.maximum(first[f], lo)
+        j = np.arange(lo, hi, dtype=float)
+        j -= np.repeat(first[f], count)
+        out = acc[lo:hi]
+        np.subtract(data["lam"][lo:hi], _expand(coef[f], count, j), out=out)
+        if flux.d is not None:
+            cg = np.repeat(flux.c[f], count)
+            cg *= data["g"][lo:hi]
+            out -= cg
+        if per_point:
+            for q, dq in enumerate(dcoef):
+                d = _expand(dq[f], count, j)
+                d *= a[q, lo:hi]
+                d *= gw[q]
+                out -= d
     acc *= width
     return acc
 

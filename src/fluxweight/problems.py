@@ -5,7 +5,9 @@ hand-differentiated callables: the exact solution u with grad(u)
 (solution), whose trace is the Dirichlet data, and the manufactured
 source f = -div(a grad u) with grad(u) (f_and_grad_u), which the
 solve's load pass reads; ProblemSpec derives u, grad_u and f from
-them.  A finite-difference consistency test guards the algebra
+them.  Every callable broadcasts its coordinates: on a side of the
+domain, E2's boundary data passes the coordinate that does not vary as
+a scalar.  A finite-difference consistency test guards the algebra
 (verify_problem in tests/conftest.py).
 """
 
@@ -61,17 +63,23 @@ def _gauss_peak(x, y):
     return e, gx, gy, lap
 
 
+def _shape(x, y):
+    """Shape of the points (x, y): a coordinate that is the same at
+    every point may come as a scalar (norms._dyadic_boundary_data)."""
+    return np.broadcast_shapes(np.shape(x), np.shape(y))
+
+
 def _ones(x, y):
-    return np.ones_like(np.asarray(x, dtype=float))
+    return np.ones(_shape(x, y))
 
 
 def _zeros2(x, y):
-    return np.zeros(np.shape(np.asarray(x)) + (2,))
+    return np.zeros(_shape(x, y) + (2,))
 
 
 def _franke():
     def solution(x, y):
-        val = np.zeros_like(np.asarray(x, dtype=float))
+        val = np.zeros(_shape(x, y))
         gx = np.zeros_like(val)
         gy = np.zeros_like(val)
         for e, (px, py, _, _) in _franke_terms(x, y):
@@ -81,7 +89,7 @@ def _franke():
         return val, np.stack([gx, gy], axis=-1)
 
     def f_and_grad_u(x, y):
-        lap = np.zeros_like(np.asarray(x, dtype=float))
+        lap = np.zeros(_shape(x, y))
         gx = np.zeros_like(lap)
         gy = np.zeros_like(lap)
         for e, (px, py, pxx, pyy) in _franke_terms(x, y):

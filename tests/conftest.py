@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 
 from fluxweight import fem, norms
 from fluxweight.mesh import (Mesh, build_unit_square, distance_to_boundary,
-                             domain_polygon, refine)
+                             domain_polygon, polygon_sides, refine)
 from fluxweight.methods import ProblemSpec
 from fluxweight.quadrature import segment_rule, triangle_rule
 
@@ -264,6 +264,21 @@ def bulk_trace(solution, facet_ids, t):
     nrm = solution.mesh.bf_normal[facet_ids]
     return (np.einsum("nj,nj->n", co, vals),
             gu[:, 0] * nrm[:, 0] + gu[:, 1] * nrm[:, 1])
+
+
+def boundary_at(polygon, s):
+    """Points (x, y) and outward unit normals (nx, ny) at the arc
+    lengths s in [0, perimeter), each point on the side it finds; a
+    corner belongs to the side it starts.  The per-point reference of
+    the side-by-side boundary data of norms._dyadic_boundary_data."""
+    vec, length, cum = polygon_sides(polygon)
+    k = np.zeros(np.shape(s), dtype=np.intp)
+    for c in cum[1:-1]:
+        k += s >= c
+    t = (s - cum.take(k)) / length.take(k)
+    return (polygon[:, 0].take(k) + t * vec[:, 0].take(k),
+            polygon[:, 1].take(k) + t * vec[:, 1].take(k),
+            (vec[:, 1] / length).take(k), (-vec[:, 0] / length).take(k))
 
 
 def split_pieces(starts, total, breakpoints):

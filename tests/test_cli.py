@@ -180,6 +180,19 @@ def test_shipped_manifests_pass_the_check(path):
                    {"name": "amr", "type": "amr", "problem": "frank"}],
           assertions=[]), "unknown problem 'frank'"),
     (dict(sign=2), "sign must be"),
+    # a study that would make no row, or counts below zero
+    (dict(studies=[{"name": "uni", "type": "uniform", "levels": 0}],
+          assertions=[]), "'uni': levels must be at least 1, got 0"),
+    (dict(studies=[{"name": "gr", "type": "graded", "h_list": []}],
+          assertions=[]), "'gr': a graded study needs a non-empty h_list"),
+    (dict(studies=[{"name": "w", "type": "weight_demo", "steps": -1}],
+          assertions=[]), "'w': steps must be at least 0, got -1"),
+    (dict(studies=[{"name": "uni", "type": "uniform", "levels": 2,
+                    "e1_levels": 3}],
+          assertions=[]), r"'uni': e1_levels must lie in \[0, 2\], got 3"),
+    (dict(studies=[{"name": "uni", "type": "uniform", "levels": 2,
+                    "e1_levels": -1}],
+          assertions=[]), r"'uni': e1_levels must lie in \[0, 2\], got -1"),
 ])
 def test_malformed_manifest_is_refused_before_any_study(tmp_path, overrides,
                                                         match):

@@ -11,7 +11,7 @@ from fluxweight.driver import AmrConfig
 from fluxweight.mesh import (build_domain_mesh, build_unit_square,
                              compute_distance_field, refine)
 from fluxweight.problems import problem_data
-from fluxweight.quadrature import segment_rule
+from fluxweight.quadrature import segment_rule, triangle_rule
 
 from conftest import distorted_square4
 
@@ -443,3 +443,73 @@ def test_volume_pass_reads_the_solve_values_once(name):
     assert again.energy_err == pytest.approx(first.energy_err, rel=1e-14)
     assert first.energy_err == fem.h1_seminorm_error(
         sol.space, sol.coeffs, problem.grad_u)
+
+
+def _per_point_residuals(sol):
+    """r1T, the energy error and r0F of sol with every derivative of u_h
+    evaluated at every rule point, from the full basis tables (the P1
+    Hessian included): the sums that the estimator's one row per
+    triangle or edge must reproduce bit for bit."""
+    space, problem, mesh = sol.space, sol.problem, sol.mesh
+    qp, qw = triangle_rule(space.degree)
+    _, gref, href = fem.triangle_tables(space.order, space.degree)
+    invJT, det = mesh.jacobians()
+    co = sol.coeffs[space.tri_dofs]
+    Minv = invJT.transpose(0, 2, 1) @ invJT
+    hu = fem.contract(co, href)
+    lap_u = (Minv[:, None, 0, 0] * hu[..., 0]
+             + 2.0 * Minv[:, None, 0, 1] * hu[..., 1]
+             + Minv[:, None, 1, 1] * hu[..., 2])
+    grad_u = fem.physical_gradients(co, gref, invJT)
+    x, y = np.moveaxis(mesh.triangle_points(np.arange(mesh.num_triangles),
+                                            qp), -1, 0)
+    fv, guv = problem.f_and_grad_u(x, y)
+    ga = problem.grad_a(x, y)
+    res = (fv + problem.a(x, y) * lap_u
+           + ga[..., 0] * grad_u[..., 0] + ga[..., 1] * grad_u[..., 1])
+    r1T = mesh.h_T * np.sqrt((res * res) @ qw * det)
+    diff = guv - grad_u
+    energy = float(np.sqrt(((diff * diff).sum(axis=-1) @ qw) @ det))
+
+    edges = mesh.interior_edges
+    t, w = segment_rule(space.degree)
+    ev = mesh.edges[edges]
+    P, Q = mesh.vertices[ev[:, 0]], mesh.vertices[ev[:, 1]]
+    pts = P[:, None, :] + t[None, :, None] * (Q - P)[:, None, :]
+    L = mesh.edge_length[edges]
+    nrm = np.stack([(Q - P)[:, 1], -(Q - P)[:, 0]], axis=-1) / L[:, None]
+    tables = [fem.edge_tables(space.order, tuple(s))[1] for s in (t, 1 - t)]
+    jump = np.zeros((len(edges), len(t)))
+    for side, sgn in ((0, 1.0), (1, -1.0)):
+        tri = mesh.edge_tris[edges, side]
+        le = mesh.edge_local[edges, side]
+        backward = mesh.triangles[tri, (le + 1) % 3] != ev[:, 0]
+        gu = np.empty((len(edges), len(t), 2))
+        for i in range(3):
+            for b in (0, 1):
+                sel = (le == i) & (backward == b)
+                gu[sel] = fem.physical_gradients(
+                    sol.coeffs[space.tri_dofs[tri[sel]]], tables[b][i],
+                    invJT[tri[sel]])
+        jump += sgn * (gu[..., 0] * nrm[:, None, 0]
+                       + gu[..., 1] * nrm[:, None, 1])
+    val = problem.a(pts[..., 0], pts[..., 1]) * jump
+    r0F = np.sqrt(L) * np.sqrt(np.einsum("nq,nq,q->n", val, val, w) * L)
+    return r1T, energy, r0F
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_volume_and_jump_residuals_equal_the_per_point_sums(order):
+    # a P1 gradient is evaluated once per triangle and edge and a P2
+    # Hessian once per triangle; the residuals are those of evaluating
+    # them at every point, bit for bit (variable a, random u_h)
+    m = refine(distorted_square4(), [2, 7, 11])
+    p = problem_data("varcoef-peak")
+    sp = fem.FeSpace(m, order)
+    co = np.random.default_rng(5 + order).standard_normal(sp.ndof)
+    sol = methods.DiscreteSolution(methods.NITSCHE, p, sp, co, gamma=10.0)
+    r = est.compute_residuals(sol)
+    r1T, energy, r0F = _per_point_residuals(sol)
+    assert np.array_equal(r.r1T, r1T)
+    assert r.energy_err == energy
+    assert np.array_equal(r.r0F, r0F)

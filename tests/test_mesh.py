@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from fluxweight import mesh as meshmod
-from fluxweight.mesh import (Mesh, boundary_at, boundary_band,
-                             boundary_graded, build_domain_mesh,
-                             build_graded_mesh, build_lshape,
+from fluxweight.mesh import (Mesh, boundary_band, boundary_graded,
+                             build_domain_mesh, build_graded_mesh, build_lshape,
                              build_unit_square, check_mesh,
                              compute_distance_field, distance_to_boundary,
                              domain_polygon, polygon_sides,
                              project_to_boundary, refine, shape_regularity,
                              uniform_refine)
+
+from conftest import boundary_at
 
 
 def test_unit_square_counts(square4):

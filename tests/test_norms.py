@@ -10,14 +10,15 @@ from fluxweight import driver, fem, methods, norms, problems
 from fluxweight.mesh import (boundary_band, boundary_graded,
                              build_domain_mesh,
                              build_graded_mesh, build_lshape,
-                             build_unit_square, uniform_refine)
+                             build_unit_square, domain_polygon,
+                             polygon_sides, uniform_refine)
 from fluxweight.norms import (BoundaryFunction, WaveletPyramid, dwt_step,
                               flux_error_function, sample_to_dyadic,
                               wavelet_norm, wavelet_norm_of_vector)
 from fluxweight.problems import problem_data
 from fluxweight.quadrature import segment_rule
 
-from conftest import (distorted_square4, make_gentle_problem,
+from conftest import (boundary_at, distorted_square4, make_gentle_problem,
                       ordered_stiffness, pinned_stiffness, split_pieces,
                       uncondensed_dual_error)
 
@@ -624,15 +625,17 @@ def test_multiplier_flux_caches_only_the_exact_flux(square4):
 def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
     # the Nitsche cache of Franke's problem evaluates the four terms once
     # per chunk of cells, at every Gauss point of the chunk and for the
-    # exact flux and g together; its lam is the multiplier cache's bit
-    # for bit, and its g the Gauss sums of g over each cell
+    # exact flux and g together (one coordinate of a side comes as a
+    # scalar, so a pass counts the points it broadcasts to); its lam is
+    # the multiplier cache's bit for bit, and its g the Gauss sums of g
+    # over each cell
     M = 15
     gp, gw = segment_rule(5)
     passes = []
     terms = problems._franke_terms
 
     def counting(x, y):
-        passes.append(len(x))
+        passes.append(np.broadcast(x, y).size)
         return terms(x, y)
 
     monkeypatch.setattr(problems, "_franke_terms", counting)
@@ -655,6 +658,50 @@ def test_franke_boundary_data_in_one_pass(monkeypatch, square4):
     pts = corner[side] + t[..., None] * step[side]
     g = problem.u(pts[..., 0], pts[..., 1]) @ gw
     assert np.abs(one_pass["g"] - g).max() <= 1e-14 * np.abs(g).max()
+
+
+def _per_point_boundary_data(problem, polygon, M, gp, gw):
+    """lam, g and a at the rule points of the 2^M dyadic cells, in chunks
+    of cells that run across the corners, every point on its own side
+    (boundary_at) and every coordinate an array: the evaluation that the
+    side-by-side cache must reproduce bit for bit."""
+    n = 1 << M
+    total = polygon_sides(polygon)[2][-1]
+    lam, g, a = np.zeros(n), np.zeros(n), np.empty((len(gp), n))
+    for lo in range(0, n, norms._CHUNK):
+        cells = slice(lo, min(lo + norms._CHUNK, n))
+        starts = total * np.arange(cells.start, cells.stop) / n
+        s = starts + (total / n) * gp[:, None]
+        x, y, nx, ny = boundary_at(polygon, s.ravel())
+        lam_q, g_q = problem.boundary_values(x, y, nx, ny)
+        for q, w in enumerate(gw):
+            lam[cells] += w * lam_q.reshape(s.shape)[q]
+            g[cells] += w * g_q.reshape(s.shape)[q]
+        a[:, cells] = np.broadcast_to(problem.a(x, y),
+                                      x.shape).reshape(s.shape)
+    return lam, g, a
+
+
+@pytest.mark.parametrize("name, M", [("franke", 10), ("varcoef-peak", 10),
+                                     ("lshape-singular", 12)])
+def test_side_by_side_boundary_data_equals_the_per_point_sums(name, M):
+    # the cache evaluates the data side by side, with the normal and the
+    # fixed coordinate of each side as scalars; at M = 12 the 4096 cells
+    # of the L-shape are one chunk of the per-point evaluation, across
+    # all six corners
+    problem = problem_data(name)
+    polygon = domain_polygon(problem.domain)
+    gp, gw = segment_rule(5)
+    lam, g, a = _per_point_boundary_data(problem, polygon, M, gp, gw)
+    data = norms._dyadic_boundary_data(problem, polygon, M, gp, gw,
+                                       with_data=True)
+    assert np.array_equal(data["lam"], lam)
+    assert np.array_equal(data["g"], g)
+    assert np.array_equal(np.broadcast_to(data["a"], a.shape), a)
+    assert isinstance(data["a"], float) == (name != "varcoef-peak")
+    lam_only = norms._dyadic_boundary_data(problem, polygon, M, gp, gw,
+                                           with_data=False)
+    assert np.array_equal(lam_only["lam"], lam)
 
 
 def test_franke_nitsche_cache_is_lean(square4):

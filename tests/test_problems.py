@@ -136,3 +136,26 @@ def test_f_and_grad_u_in_one_evaluation(name):
     f, gu = p.f_and_grad_u(x, y)
     assert np.array_equal(f, p.f(x, y))
     assert np.array_equal(gu, p.grad_u(x, y))
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_callables_broadcast_a_scalar_coordinate(name):
+    # on a side of the domain, E2's boundary data passes the coordinate
+    # that does not vary, and the normal, as scalars: every callable
+    # returns the full-array result, bit for bit
+    problem = problem_data(name)
+    t = np.linspace(-0.9, 0.95, 12).reshape(3, 4)
+    for x, y in ((0.5, t), (t, -0.75), (1.0, t), (t, 0.0)):
+        X, Y = (np.array(v) for v in np.broadcast_arrays(x, y))
+        for fn in (problem.solution, problem.a, problem.grad_a):
+            got, want = fn(x, y), fn(X, Y)
+            for g, w in zip(*(v if isinstance(v, tuple) else (v,)
+                              for v in (got, want))):
+                assert np.shape(g) == np.shape(w)
+                assert np.array_equal(g, w)
+        nx, ny = 0.6, -0.8
+        got = problem.exact_flux(x, y, nx, ny)
+        want = problem.exact_flux(X, Y, np.full(X.shape, nx),
+                                  np.full(X.shape, ny))
+        assert got.shape == want.shape == t.shape
+        assert np.array_equal(got, want)
