@@ -22,13 +22,16 @@ E2 of a flux error samples 2^M dyadic cells with the 3-point Gauss rule
 over every cell of the exact flux and, for a Nitsche flux, of g, and a
 as one number when it is the same everywhere (else at each Gauss
 point): two arrays of 2^M doubles for Franke's problem, one for a
-multiplier flux.  On the cells that lie inside one boundary facet,
-each step then turns the facet's Gauss-averaged discrete flux into one
-polynomial in the cell's index within the facet and expands it with
-one Horner pass, so that a step costs a handful of passes over the 2^M
-cells whatever the mesh.  Any other BoundaryFunction has every cell
-integrated whole by the same rule.  Then, for both, the cells that a
-breakpoint cuts are integrated again piece by piece (_cut_pieces).
+multiplier flux.  The data are evaluated side by side of the domain,
+with the side's normal and its fixed coordinate as scalars, not point
+by point (_dyadic_boundary_data).  On the cells that lie inside one
+boundary facet, each step then turns the facet's Gauss-averaged
+discrete flux into one polynomial in the cell's index within the facet
+and expands it with one Horner pass, block by block of cells, so that
+a step costs a handful of passes over the 2^M cells whatever the mesh.
+Any other BoundaryFunction has every cell integrated whole by the same
+rule.  Then, for both, the cells that a breakpoint cuts are integrated
+again piece by piece (_cut_pieces).
 
 The analysis pyramid (WaveletPyramid.analyze), whose weighted norm is
 E2's, runs by lifting (_lift, after Sweldens 1996): each level is the
