@@ -9,7 +9,9 @@ Assembly is vectorized over element blocks with a deterministic
 reduction order.  The load pass sums f and |f| from their values at its
 rule (rule_values, assemble_load_sums), which the estimator's volume
 residual reads again.  The solver contract is a direct sparse
-factorization with a verified residual.
+factorization with a verified residual and a factor that is not
+numerically singular, by an estimate of its condition number from a few
+solves with the factor itself.
 
 Every system is factored in one elimination order, a nested dissection
 of its own mesh (dissection_order): the tree of the Morton codes of the
@@ -62,11 +64,6 @@ from .quadrature import segment_rule, triangle_rule
 log = logging.getLogger(__name__)
 
 _BLOCK = 16384
-
-# SuperLU shows its pivots only through CSC copies of both factors, which
-# double the memory of the factor; larger factors (the high-order
-# dual-norm reference solves) skip the pivot check
-PIVOT_CHECK_MAX_NNZ = 1 << 23
 
 
 class SolverError(RuntimeError):
@@ -561,20 +558,23 @@ def solve(system):
     elimination order, and the solution back out of it.
 
     Raises SolverError when the factorization fails, when the factor is
-    numerically singular (min|U_ii| < 1e-12 max|U_ii|, checked on
-    factors of at most PIVOT_CHECK_MAX_NNZ nonzeros; SuperLU's exactly
+    numerically singular (rcond < 1e-12, at every size; SuperLU's exactly
     singular factor has a zero pivot and is reported as such), or when
     the residual, computed on the factored matrix, exceeds
-    1e-10 * (|b| + |A|*|x|).  Every solve that factors logs one INFO
-    line; its arguments are a dict with the order n and the nonzeros nnz
-    of the system, the factor's lu_nnz, input_bytes (the bytes of the
-    CSC arrays that SuperLU factors) and lu_bytes (those of lu_nnz
-    values and row indices of the same types: what reading U copies for
-    the pivot check), the factor time factor_s, the residual-to-bound
-    ratio res_ratio, the ordering ("dissection", or "natural" when
-    system.order is None) and the pivot_ratio min|U_ii|/max|U_ii| (None
-    when the pivot check is skipped).  While the pivots are read, the
-    caller's matrix is the only copy of the system.
+    1e-10 * (|b| + |A|*|x|).  rcond = 1 / (|A|_1 est|A^-1|_1) is the
+    reciprocal 1-norm condition number, with |A^-1|_1 estimated by
+    Hager's algorithm on the factor itself (_inverse_norm1, 3-9
+    solves); |A|_1 and max|A_ij| are read before the factorization, so
+    no array of the size of A or of its factor is made while the
+    factor is alive.  Every solve that factors logs one
+    INFO line; its arguments are a dict with the order n and the
+    nonzeros nnz of the system, the factor's lu_nnz, input_bytes (the
+    bytes of the CSC arrays that SuperLU factors) and lu_bytes (those of
+    lu_nnz values and row indices of the same types, the size of a CSC
+    copy of both factors), the factor time factor_s, the
+    residual-to-bound ratio res_ratio, the ordering ("dissection", or
+    "natural" when system.order is None) and rcond.  The caller's matrix
+    is the only copy of the system.
 
     SuperLU keeps the order (its NATURAL column order, which scipy runs
     in symmetric mode) and prefers diagonal pivots (threshold 0.1).  In
@@ -605,6 +605,14 @@ def solve(system):
     else:
         ordering, perm = "dissection", system.order
     pb = b[perm]
+    # max|A_ij| for the residual bound and |A|_1 for rcond; the column
+    # sums of |A| run over the nonempty columns only, which an empty
+    # column, adding nothing, lies between
+    absA = np.abs(A.data)
+    normA = absA.max(initial=0.0)
+    norm1 = np.add.reduceat(
+        absA, A.indptr[:-1][np.diff(A.indptr) > 0]).max(initial=0.0)
+    del absA
     t0 = time.perf_counter()
     try:
         lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1)
@@ -621,36 +629,70 @@ def solve(system):
                           f"(n={n}, nnz={A.nnz})")
     # the norms do not depend on the renumbering
     res = np.linalg.norm(A @ y - pb)
-    normA = np.abs(A.data).max(initial=0.0)
     bound = 1e-10 * (np.linalg.norm(b) + normA * np.linalg.norm(y))
     # a singular factor passes the residual bound, which grows with the
-    # blown-up x; reading U copies both factors
-    pivot_ratio = None
-    if lu.nnz <= PIVOT_CHECK_MAX_NNZ:
-        pivots = np.abs(lu.U.diagonal())
-        pivot_ratio = pivots.min() / pivots.max()
+    # blown-up x; it has a tiny rcond
+    rcond = float(1.0 / (norm1 * _inverse_norm1(lu, n)))
     log.info("solve: n=%(n)d nnz(A)=%(nnz)d lu.nnz=%(lu_nnz)d "
              "factor input %(input_bytes)d B, LU %(lu_bytes)d B, "
              "factor %(factor_s).3f s residual/bound %(res_ratio).2e "
-             "ordering %(ordering)s pivot ratio %(pivot_ratio)s",
+             "ordering %(ordering)s rcond %(rcond).2e",
              dict(n=n, nnz=A.nnz, lu_nnz=lu.nnz,
                   input_bytes=(A.data.nbytes + A.indices.nbytes
                                + A.indptr.nbytes),
                   lu_bytes=lu.nnz * (A.data.itemsize + A.indices.itemsize),
                   factor_s=factor_s,
                   res_ratio=res / max(bound, 1e-300), ordering=ordering,
-                  pivot_ratio=pivot_ratio))
+                  rcond=rcond))
     if res > max(bound, 1e-300):
         raise SolverError(
             f"residual contract violated: |Ax-b|={res:.3e} > {bound:.3e} "
             f"(n={n}, nnz={A.nnz})")
-    if pivot_ratio is not None and pivots.min() < 1e-12 * pivots.max():
+    if not rcond >= 1e-12:  # NaN counts as singular
         raise SolverError(
-            f"numerically singular factor: min|U_ii|/max|U_ii| = "
-            f"{pivot_ratio:.3e} (n={n}, nnz={A.nnz})")
+            f"numerically singular factor: rcond = {rcond:.3e} "
+            f"(n={n}, nnz={A.nnz})")
     x = np.empty_like(y)
     x[perm] = y
     return x
+
+
+def _inverse_norm1(lu, n):
+    """Hager's estimate of |A^-1|_1 from the factor lu of A (n x n), as
+    LAPACK's dlacn2 computes it for dgecon: from x = (1/n, ..., 1/n),
+    |A^-1 x|_1 is raised along the unit vector e_j of the largest
+    |A^-T sign(A^-1 x)|_j, for at most four unit vectors, until the
+    signs repeat or the estimate stops growing; then the alternating
+    x_i = (-1)^i (1 + i/(n-1)) is tried, with |x|_1 = 3n/2.  Each value
+    is |A^-1 x|_1 / |x|_1 for some x, so their maximum, the estimate, is
+    a lower bound of |A^-1|_1; it is deterministic.  The first and the
+    alternating x share one solve, and the last unit vector skips its
+    transposed solve, which dlacn2 makes without using it: 3-9 solves.
+    """
+    if n == 1:
+        return abs(lu.solve(np.ones(1))[0])
+    alt = 1.0 + np.arange(n) / (n - 1)
+    alt[1::2] *= -1.0
+    v, w = lu.solve(np.column_stack([np.full(n, 1.0 / n), alt])).T
+    est = np.abs(v).sum()
+    best = max(est, 2.0 * np.abs(w).sum() / (3 * n))
+    sign = np.where(v >= 0, 1.0, -1.0)
+    j = np.argmax(np.abs(lu.solve(sign, trans="T")))
+    for unit in range(4):
+        e = np.zeros(n)
+        e[j] = 1.0
+        v = lu.solve(e)
+        old, est = est, np.abs(v).sum()
+        best = max(best, est)
+        new_sign = np.where(v >= 0, 1.0, -1.0)
+        if unit == 3 or est <= old or np.array_equal(new_sign, sign):
+            break
+        sign = new_sign
+        z = lu.solve(sign, trans="T")
+        jlast, j = j, np.argmax(np.abs(z))
+        if z[jlast] == abs(z[j]):
+            break
+    return best
 
 
 def h1_seminorm_error(space, coeffs, grad_exact):

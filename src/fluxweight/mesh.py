@@ -355,14 +355,26 @@ def uniform_refine(mesh, sweeps=1):
 
 def boundary_band(mesh, sweeps=2):
     """Bisect the triangles whose vertex patch touches the boundary
-    (rho_T == 0), `sweeps` times, recomputing the band after each sweep.
+    (rho_T == 0, see _band_triangles), `sweeps` times, recomputing the
+    band after each sweep.
 
     Boundary facets come out as fine as under `uniform_refine(mesh,
     sweeps)`, while the bulk keeps its size (up to the closure).
     """
     for _ in range(sweeps):
-        mesh = refine(mesh, np.nonzero(compute_distance_field(mesh) == 0)[0])
+        mesh = refine(mesh, _band_triangles(mesh))
     return mesh
+
+
+def _band_triangles(mesh):
+    """The triangles whose vertex patch touches the boundary, those with
+    rho_T == 0 in compute_distance_field, from the topology alone: the
+    triangles that share a vertex with a triangle that has a boundary
+    vertex."""
+    tri = mesh.triangles
+    near = np.zeros(mesh.num_vertices, dtype=bool)
+    near[tri[mesh.vertex_on_boundary[tri].any(axis=1)]] = True
+    return np.nonzero(near[tri].any(axis=1))[0]
 
 
 def boundary_graded(mesh, initial_n):

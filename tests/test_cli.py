@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from collections import Counter
@@ -220,3 +221,17 @@ def test_study_threads_name_their_log_records(tmp_path, monkeypatch, caplog):
                               tmp_path / study["name"])
         assert both[study["name"]] == alone["MainThread"] > 0
     assert sum(both.values()) == both["uni"] + both["amr"]
+
+
+@pytest.mark.slow
+def test_every_table2_solve_logs_a_finite_rcond(tmp_path, caplog):
+    # the manifest's largest factor, the E1 reference with 67 073
+    # unknowns and 10.06M LU nonzeros, is checked like every other one
+    with caplog.at_level("INFO", logger="fluxweight.fem"):
+        _, ok, _ = run_experiment(ROOT / "manifests" / "table2.json",
+                                  tmp_path)
+    assert ok
+    stats = [r.args for r in caplog.records if r.name == "fluxweight.fem"]
+    assert max(s["lu_nnz"] for s in stats) > 10_000_000
+    for s in stats:
+        assert math.isfinite(s["rcond"]) and 1e-12 <= s["rcond"] <= 1.0, s

@@ -204,6 +204,32 @@ def test_boundary_band_facets_match_uniform(make):
     assert band.num_triangles < fine.num_triangles
 
 
+def _lshape_amr_mesh():
+    """A bisected L-shape mesh: three rounds of marking near the
+    re-entrant corner at the origin."""
+    m = build_lshape(4)
+    for _ in range(3):
+        cent = m.vertices[m.triangles].mean(axis=1)
+        m = refine(m, np.nonzero(np.hypot(*cent.T) < 0.3)[0])
+    return m
+
+
+@pytest.mark.parametrize("make", [_corner_amr_mesh, _lshape_amr_mesh],
+                         ids=["square-amr", "lshape-amr"])
+def test_band_from_topology_matches_distance_field(make):
+    # the band's triangles, from the boundary vertices alone, are those
+    # with rho_T == 0, and so are those of every sweep of the band
+    m = make()
+    for _ in range(3):
+        zero = np.nonzero(compute_distance_field(m) == 0)[0]
+        assert np.array_equal(meshmod._band_triangles(m), zero)
+        assert 0 < len(zero) < m.num_triangles
+        m = refine(m, zero)
+    swept = boundary_band(make(), 3)
+    assert np.array_equal(swept.vertices, m.vertices)
+    assert np.array_equal(swept.triangles, m.triangles)
+
+
 @pytest.mark.parametrize("make, initial_n", [
     (_corner_amr_mesh, 4),
     (lambda: uniform_refine(build_lshape(4), 2), 4),
